@@ -659,7 +659,7 @@ pub fn run_bench_observed(options: &BenchOptions, trace: &Trace) -> Result<Bench
     };
     let rows = measure();
     // Drain and join the bench server before surfacing any measurement
-    // error, so a failed bench never leaks the scheduler thread or the
+    // error, so a failed bench never leaks the runner threads or the
     // socket file.
     bench_server.shutdown();
     let rows = rows?;

@@ -9,9 +9,12 @@
 //!   socket and/or loopback TCP ([`protocol`]): one request per
 //!   connection, results streamed back frame by frame as jobs complete;
 //! * **scheduling** — a prioritized submission queue ([`queue`]) drained by
-//!   a single scheduler thread driving [`engine::run_jobs_streamed`], so
-//!   priorities are strict and each submission gets the full worker
-//!   budget;
+//!   one runner thread per engine worker in the server's budget: a runner
+//!   starts the highest-priority submission whenever a worker is free and
+//!   grants it as many free workers as it asked for and can use (an
+//!   explicit `--jobs` above the budget is capped at the budget), so start
+//!   order is strictly by priority, running work is never preempted, and
+//!   a queued miss runs on an idle worker instead of waiting;
 //! * **caching** — a content-addressed result cache ([`cache`]) keyed by
 //!   [`engine::spec_fingerprint`]: identical resubmissions replay the
 //!   recorded frames byte for byte without touching the engine;

@@ -1,5 +1,5 @@
 //! The prioritized submission queue between connection handlers and the
-//! scheduler.
+//! runner threads.
 //!
 //! Ordering is strict: higher [`Queued::priority`] first, ties broken by
 //! arrival sequence (lower [`Queued::seq`] first), so equal-priority
@@ -13,7 +13,7 @@ use std::collections::BinaryHeap;
 use std::sync::mpsc;
 use std::time::Instant;
 
-/// An event streamed from the scheduler back to the submitting connection.
+/// An event streamed from a runner back to the submitting connection.
 #[derive(Debug)]
 pub enum Event {
     /// One completed job, in submission order.
@@ -27,7 +27,7 @@ pub enum Event {
     Error(ErrorFrame),
 }
 
-/// A queued submission: the decoded jobs plus everything the scheduler
+/// A queued submission: the decoded jobs plus everything a runner
 /// needs to run them and to account for the outcome.
 #[derive(Debug)]
 pub struct Submission {
@@ -44,7 +44,7 @@ pub struct Submission {
     /// When the submission was admitted to the queue, for queue-wait
     /// latency accounting.
     pub queued_at: Instant,
-    /// Cooperative cancellation shared between the scheduler's engine run,
+    /// Cooperative cancellation shared between the runner's engine run,
     /// the deadline watchdog and the connection handler (a disconnected
     /// client cancels its own submission through this token).
     pub cancel: CancelToken,

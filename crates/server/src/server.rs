@@ -1,14 +1,24 @@
-//! The resident server: listeners, connection handlers, the scheduler
-//! thread, quotas, counters, and graceful shutdown.
+//! The resident server: listeners, connection handlers, the runner
+//! threads, quotas, counters, and graceful shutdown.
 //!
 //! Threading model: one acceptor thread per listener (unix socket, loopback
-//! TCP), one short-lived handler thread per connection, and a single
-//! scheduler thread that pops the [`SubmissionQueue`] and drives the engine
-//! via [`engine::run_jobs_streamed`], forwarding each result frame through
-//! the submission's channel as it completes.  One scheduler means queued
-//! submissions run strictly in priority order and each one gets the
-//! server's full worker budget — throughput *within* a submission comes
-//! from the engine's own worker pool, not from racing submissions.
+//! TCP), blocked in `accept`; one short-lived handler thread per connection,
+//! joined by the acceptor once it has finished; and one runner thread per
+//! engine worker in the server's budget ([`ServerConfig::workers`]).  The
+//! runners share a count of free workers under the state lock.  A runner
+//! pops the highest-priority submission from the [`SubmissionQueue`] only
+//! while a worker is free, grants it `min(requested, demand, free)` workers
+//! (demand being the threads its jobs can use at once), drives the engine
+//! via [`engine::run_jobs_streamed_observed`] — forwarding each result
+//! frame through the submission's channel as it completes — and returns the
+//! workers when the run ends.  Submissions therefore start strictly in
+//! priority order, running work is never preempted, and a queued miss runs
+//! on an idle worker instead of waiting behind a run that cannot use it.
+//! Results are identical for any worker count, so the grant never changes
+//! a cache key or a result byte.
+//!
+//! Shutdown wakes each blocked acceptor by connecting once to the server's
+//! own endpoints; the acceptor drops that connection unserved and exits.
 
 use crate::cache::ResultCache;
 use crate::protocol::{
@@ -22,21 +32,21 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener};
-use std::os::unix::net::UnixListener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use tracelog::Trace;
+use tracelog::{Recorder, Trace};
 
 /// Report kind tag of the server's counters payload.
 pub const REPORT_KIND: &str = "server";
 
-/// How long an acceptor sleeps between polls of a quiet listener (also the
-/// shutdown-latency bound of an idle acceptor).
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// How long an acceptor backs off after a failed `accept` (e.g. `EMFILE`),
+/// so a persistent error cannot spin the thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 
 /// How long a connection may sit idle before sending its request.  The
 /// protocol is one request per connection, sent immediately; the timeout
@@ -57,8 +67,10 @@ pub struct ServerConfig {
     /// running at once (`0` = unlimited).  Cache hits never count — they
     /// consume no engine capacity.
     pub quota: usize,
-    /// Default engine worker count for submissions that do not name one
-    /// (`0` = one per available hardware thread).
+    /// The server's engine worker budget (`0` = one per available hardware
+    /// thread): how many workers all running submissions share.  A
+    /// submission that names no worker count asks for the whole budget; an
+    /// explicit count above the budget is capped at it.
     pub workers: usize,
     /// Result-cache entry budget: least recently used entries are evicted
     /// past this many (`0` = unlimited).
@@ -75,7 +87,7 @@ pub struct ServerConfig {
     /// with a terminal [`ErrorFrame::OVERLOADED`]; cache hits are never
     /// shed — they bypass the queue entirely.
     pub queue_max: usize,
-    /// Plugin registry the scheduler resolves prefetcher specs through
+    /// Plugin registry the runners resolve prefetcher specs through
     /// (`None` = the built-ins).  Lets embedders and the chaos harness
     /// serve custom plugins.
     pub registry: Option<Arc<Registry>>,
@@ -123,7 +135,8 @@ pub struct ServerMetrics {
     pub queue_depth: u64,
     /// Highest queue depth observed.
     pub max_queue_depth: u64,
-    /// Submissions currently being executed by the scheduler (0 or 1).
+    /// Submissions currently being executed (at most the worker budget,
+    /// each holding at least one worker).
     pub running: u64,
     /// Submit requests accepted (cache hits included).
     pub submissions: u64,
@@ -157,8 +170,8 @@ pub struct ServerMetrics {
     pub deadline_cancellations: u64,
     /// Submissions cancelled because their client disconnected mid-stream.
     pub disconnect_cancellations: u64,
-    /// Queue-wait latency distribution: microseconds from admission to the
-    /// scheduler starting the submission (cache hits never queue and never
+    /// Queue-wait latency distribution: microseconds from admission to a
+    /// runner starting the submission (cache hits never queue and never
     /// land here).
     pub queue_wait_us: Histogram,
     /// Per-client live quota usage, sorted by client identity.
@@ -188,8 +201,10 @@ struct State {
     deadline_cancellations: u64,
     disconnect_cancellations: u64,
     max_queue_depth: u64,
-    /// Submissions the scheduler is currently executing (0 or 1).
+    /// Submissions the runners are currently executing.
     running: u64,
+    /// Engine workers not granted to a running submission.
+    free_workers: usize,
     /// Admission-to-start queue-wait latency, microseconds.
     queue_wait_us: Histogram,
 }
@@ -197,13 +212,21 @@ struct State {
 /// State shared by every server thread.
 struct Shared {
     config: ServerConfig,
+    /// The engine worker budget, [`ServerConfig::workers`] resolved.
+    budget: usize,
     state: Mutex<State>,
     queue_cv: Condvar,
     cache: Mutex<ResultCache>,
-    /// Lock-free mirror of `State::shutting_down` for acceptor polling.
+    /// Lock-free mirror of `State::shutting_down`, read by an acceptor when
+    /// `accept` returns to tell the shutdown wake-up from a client.
     shutdown: AtomicBool,
-    /// Connection handler threads, joined on shutdown so in-flight replies
-    /// finish before the process exits.
+    /// The server's own endpoints, connected to once on shutdown to wake
+    /// the acceptors blocked in `accept`.
+    unix_socket: Option<PathBuf>,
+    tcp_addr: Option<SocketAddr>,
+    /// Live connection handler threads: finished ones are joined on every
+    /// accept, the rest on shutdown so in-flight replies finish before the
+    /// process exits.
     connections: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -254,11 +277,40 @@ impl Shared {
     }
 
     fn initiate_shutdown(&self) -> u64 {
-        let mut state = self.state.lock().expect("state mutex poisoned");
-        state.shutting_down = true;
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.queue_cv.notify_all();
-        state.queue.len() as u64
+        let (draining, first) = {
+            let mut state = self.state.lock().expect("state mutex poisoned");
+            state.shutting_down = true;
+            let first = !self.shutdown.swap(true, Ordering::SeqCst);
+            self.queue_cv.notify_all();
+            (state.queue.len() as u64, first)
+        };
+        if first {
+            // Wake each acceptor blocked in `accept`: it sees the flag set
+            // above, drops this connection unserved and exits.  A failed
+            // connect means that acceptor is already gone.
+            if let Some(path) = &self.unix_socket {
+                drop(UnixStream::connect(path));
+            }
+            if let Some(addr) = self.tcp_addr {
+                drop(TcpStream::connect(addr));
+            }
+        }
+        draining
+    }
+
+    /// Joins the handler threads that have finished, so the list holds
+    /// only live handlers and a finished thread's stack is freed promptly.
+    fn reap_connections(&self) {
+        let finished: Vec<JoinHandle<()>> = self
+            .connections
+            .lock()
+            .expect("connections mutex poisoned")
+            .extract_if(.., |handle| handle.is_finished())
+            .collect();
+        for handle in finished {
+            // A handler that panicked already failed its own connection.
+            handle.join().ok();
+        }
     }
 }
 
@@ -276,7 +328,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the configured endpoints and spawns the acceptor and scheduler
+    /// Binds the configured endpoints and spawns the acceptor and runner
     /// threads.
     ///
     /// # Errors
@@ -299,12 +351,10 @@ impl Server {
                     std::fs::remove_file(path)
                         .map_err(|e| ServerError::Io(format!("remove stale {path:?}: {e}")))?;
                 }
-                let listener = UnixListener::bind(path)
-                    .map_err(|e| ServerError::Io(format!("bind {path:?}: {e}")))?;
-                listener
-                    .set_nonblocking(true)
-                    .map_err(|e| ServerError::Io(e.to_string()))?;
-                Some(listener)
+                Some(
+                    UnixListener::bind(path)
+                        .map_err(|e| ServerError::Io(format!("bind {path:?}: {e}")))?,
+                )
             }
             None => None,
         };
@@ -319,12 +369,10 @@ impl Server {
                          authentication and must not face a network"
                     )));
                 }
-                let listener = TcpListener::bind(parsed)
-                    .map_err(|e| ServerError::Io(format!("bind {addr:?}: {e}")))?;
-                listener
-                    .set_nonblocking(true)
-                    .map_err(|e| ServerError::Io(e.to_string()))?;
-                Some(listener)
+                Some(
+                    TcpListener::bind(parsed)
+                        .map_err(|e| ServerError::Io(format!("bind {addr:?}: {e}")))?,
+                )
             }
             None => None,
         };
@@ -343,19 +391,29 @@ impl Server {
                 .attach_dir(dir)
                 .map_err(|e| ServerError::Io(format!("cache dir {dir:?}: {e}")))?;
         }
+        // The worker budget, `0` resolved to the hardware parallelism.
+        let budget = EngineConfig::with_workers(config.workers).effective_workers(usize::MAX);
         let shared = Arc::new(Shared {
             config,
-            state: Mutex::new(State::default()),
+            budget,
+            state: Mutex::new(State {
+                free_workers: budget,
+                ..State::default()
+            }),
             queue_cv: Condvar::new(),
             cache: Mutex::new(cache),
             shutdown: AtomicBool::new(false),
+            unix_socket: unix_socket.clone(),
+            tcp_addr,
             connections: Mutex::new(Vec::new()),
         });
 
+        // One runner per budgeted worker: every running submission holds at
+        // least one worker, so no more can ever run at once.
         let mut threads = Vec::new();
-        {
+        for _ in 0..budget {
             let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || scheduler(&shared)));
+            threads.push(std::thread::spawn(move || runner(&shared)));
         }
         if let Some(listener) = unix_listener {
             let shared = Arc::clone(&shared);
@@ -429,160 +487,198 @@ impl Server {
     }
 }
 
-/// The scheduler: pops submissions in priority order and streams each one
-/// through the engine, draining the queue even during shutdown.
-fn scheduler(shared: &Arc<Shared>) {
+/// What a finished submission hands back for accounting.
+struct Settled {
+    client: String,
+    jobs: u64,
+    /// Result frames streamed to the client.
+    streamed: u64,
+    deadline_cancelled: bool,
+}
+
+/// A runner: pops the highest-priority submission whenever a worker is
+/// free, runs it on its grant of workers, and returns them, draining the
+/// queue even during shutdown.
+fn runner(shared: &Arc<Shared>) {
     let registry = shared
         .config
         .registry
         .as_deref()
         .unwrap_or_else(|| Registry::builtin());
-    let trace = &shared.config.trace;
-    let recorder = trace.recorder("scheduler");
+    let recorder = shared.config.trace.recorder("runner");
     loop {
-        let (queued, queue_depth) = {
+        let (mut queued, queue_depth, grant) = {
             let mut state = shared.state.lock().expect("state mutex poisoned");
             loop {
-                if let Some(queued) = state.queue.pop() {
-                    let waited = queued.submission.queued_at.elapsed();
-                    state.queue_wait_us.record(waited.as_micros() as u64);
-                    state.running += 1;
-                    break (queued, state.queue.len() as u64);
+                if state.free_workers > 0 {
+                    if let Some(queued) = state.queue.pop() {
+                        let waited = queued.submission.queued_at.elapsed();
+                        state.queue_wait_us.record(waited.as_micros() as u64);
+                        let grant = grant_workers(&queued.submission, state.free_workers);
+                        state.free_workers -= grant;
+                        state.running += 1;
+                        break (queued, state.queue.len() as u64, grant);
+                    }
                 }
-                if state.shutting_down {
+                if state.shutting_down && state.queue.is_empty() {
                     return;
                 }
                 state = shared.queue_cv.wait(state).expect("state mutex poisoned");
             }
         };
         recorder.counter("queue_depth", queue_depth as f64);
-        let Submission {
-            client,
-            jobs,
-            config,
-            fingerprint,
-            reply,
-            queued_at,
-            cancel,
-            deadline,
-        } = queued.submission;
-        let job_count = jobs.len() as u64;
+        queued.submission.config.workers = grant;
+        let settled = execute(shared, registry, &recorder, queued);
 
-        // A deadline that expired while the submission sat in the queue:
-        // answer it without burning engine time on a client that has
-        // already given up on the result.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            recorder.instant("deadline_expired_in_queue", |args| {
-                args.u64("seq", queued.seq);
-            });
-            let _ = reply.send(Event::Error(deadline_error()));
-            let mut state = shared.state.lock().expect("state mutex poisoned");
+        let mut state = shared.state.lock().expect("state mutex poisoned");
+        state.jobs_served += settled.streamed;
+        state.results_streamed += settled.streamed;
+        state.running -= 1;
+        state.free_workers += grant;
+        if settled.deadline_cancelled {
             state.deadline_cancellations += 1;
-            state.running -= 1;
-            release_quota(&mut state, &client, job_count);
-            continue;
         }
+        release_quota(&mut state, &settled.client, settled.jobs);
+        drop(state);
+        shared.queue_cv.notify_all();
+    }
+}
 
-        let mut span = recorder.span("submission");
-        span.arg_u64("seq", queued.seq);
-        span.arg_u64("jobs", job_count);
-        span.arg_text("client", &client);
-        span.arg_f64("queue_wait_seconds", queued_at.elapsed().as_secs_f64());
+/// Workers to grant `submission` out of `free` (> 0): what it asked for,
+/// capped by the threads its jobs can use at once — one per job, or one
+/// pipeline per job when segmented — and by what is free.
+fn grant_workers(submission: &Submission, free: usize) -> usize {
+    let config = &submission.config;
+    let per_job = config.segment_plan().map_or(1, |plan| plan.threads);
+    let demand = submission.jobs.len().max(1).saturating_mul(per_job);
+    config.workers.min(demand).min(free)
+}
 
-        // Deadline watchdog: parked until the deadline (or until the run
-        // finishes and unparks it), then trips the shared cancel token.
-        // Cancellation is cooperative — the engine stops claiming jobs and
-        // the delivered results stay a clean in-order prefix.
-        let watchdog_done = Arc::new(AtomicBool::new(false));
-        let watchdog = deadline.map(|deadline| {
-            let done = Arc::clone(&watchdog_done);
-            let cancel = cancel.clone();
-            std::thread::spawn(move || {
-                while !done.load(Ordering::SeqCst) {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        cancel.cancel();
-                        return;
-                    }
-                    std::thread::park_timeout(deadline - now);
-                }
-            })
+/// Runs one popped submission through the engine on its granted workers,
+/// streaming its frames and sending its terminal event.
+fn execute(shared: &Shared, registry: &Registry, recorder: &Recorder, queued: Queued) -> Settled {
+    let Submission {
+        client,
+        jobs,
+        config,
+        fingerprint,
+        reply,
+        queued_at,
+        cancel,
+        deadline,
+    } = queued.submission;
+    let job_count = jobs.len() as u64;
+    let mut settled = Settled {
+        client,
+        jobs: job_count,
+        streamed: 0,
+        deadline_cancelled: false,
+    };
+
+    // A deadline that expired while the submission sat in the queue:
+    // answer it without burning engine time on a client that has already
+    // given up on the result.
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        recorder.instant("deadline_expired_in_queue", |args| {
+            args.u64("seq", queued.seq);
         });
+        let _ = reply.send(Event::Error(deadline_error()));
+        settled.deadline_cancelled = true;
+        return settled;
+    }
 
-        let mut recorded: Vec<JobFrame> = Vec::new();
-        let outcome = engine::run_jobs_streamed_observed(
-            &jobs,
-            &config,
-            registry,
-            &MetricsConfig::enabled(),
-            trace,
-            &cancel,
-            &mut |result, metrics| {
-                let frame = JobFrame { result, metrics };
-                recorded.push(frame.clone());
-                // A vanished client must not kill the run: the frames are
-                // still recorded into the cache.
-                let _ = reply.send(Event::Result(Box::new(frame)));
-            },
-        );
-        drop(span);
-        watchdog_done.store(true, Ordering::SeqCst);
-        if let Some(handle) = watchdog {
-            handle.thread().unpark();
-            handle.join().expect("deadline watchdog panicked");
+    let mut span = recorder.span("submission");
+    span.arg_u64("seq", queued.seq);
+    span.arg_u64("jobs", job_count);
+    span.arg_u64("workers", config.workers as u64);
+    span.arg_text("client", &settled.client);
+    span.arg_f64("queue_wait_seconds", queued_at.elapsed().as_secs_f64());
+
+    // Deadline watchdog: parked until the deadline (or until the run
+    // finishes and unparks it), then trips the shared cancel token.
+    // Cancellation is cooperative — the engine stops claiming jobs and
+    // the delivered results stay a clean in-order prefix.
+    let watchdog_done = Arc::new(AtomicBool::new(false));
+    let watchdog = deadline.map(|deadline| {
+        let done = Arc::clone(&watchdog_done);
+        let cancel = cancel.clone();
+        std::thread::spawn(move || {
+            while !done.load(Ordering::SeqCst) {
+                let now = Instant::now();
+                if now >= deadline {
+                    cancel.cancel();
+                    return;
+                }
+                std::thread::park_timeout(deadline - now);
+            }
+        })
+    });
+
+    let mut recorded: Vec<JobFrame> = Vec::new();
+    let outcome = engine::run_jobs_streamed_observed(
+        &jobs,
+        &config,
+        registry,
+        &MetricsConfig::enabled(),
+        &shared.config.trace,
+        &cancel,
+        &mut |result, metrics| {
+            let frame = JobFrame { result, metrics };
+            recorded.push(frame.clone());
+            // A vanished client must not kill the run: the frames are
+            // still recorded into the cache.
+            let _ = reply.send(Event::Result(Box::new(frame)));
+        },
+    );
+    drop(span);
+    watchdog_done.store(true, Ordering::SeqCst);
+    if let Some(handle) = watchdog {
+        handle.thread().unpark();
+        handle.join().expect("deadline watchdog panicked");
+    }
+
+    settled.streamed = recorded.len() as u64;
+    match outcome {
+        // A cancelled run returns Ok with a short prefix; only a run
+        // that delivered every job is complete, cacheable and `Done`.
+        Ok((delivered, _)) if (delivered as u64) == job_count => {
+            shared
+                .cache
+                .lock()
+                .expect("cache mutex poisoned")
+                .insert(fingerprint, recorded);
+            let _ = reply.send(Event::Done {
+                jobs: delivered as u64,
+            });
         }
-
-        let streamed = recorded.len() as u64;
-        let mut deadline_cancelled = false;
-        match outcome {
-            // A cancelled run returns Ok with a short prefix; only a run
-            // that delivered every job is complete, cacheable and `Done`.
-            Ok((delivered, _)) if (delivered as u64) == job_count => {
-                shared
-                    .cache
-                    .lock()
-                    .expect("cache mutex poisoned")
-                    .insert(fingerprint, recorded);
-                let _ = reply.send(Event::Done {
-                    jobs: delivered as u64,
+        Ok((delivered, _)) => {
+            // Cut short: by the deadline watchdog, or by the connection
+            // handler of a disconnected client (which already counted
+            // itself).  Partial results are never cached.
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                settled.deadline_cancelled = true;
+                recorder.instant("deadline_exceeded", |args| {
+                    args.u64("seq", queued.seq);
+                    args.u64("delivered", delivered as u64);
+                });
+                let _ = reply.send(Event::Error(deadline_error()));
+            } else {
+                recorder.instant("run_abandoned", |args| {
+                    args.u64("seq", queued.seq);
+                    args.u64("delivered", delivered as u64);
                 });
             }
-            Ok((delivered, _)) => {
-                // Cut short: by the deadline watchdog, or by the connection
-                // handler of a disconnected client (which already counted
-                // itself).  Partial results are never cached.
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    deadline_cancelled = true;
-                    recorder.instant("deadline_exceeded", |args| {
-                        args.u64("seq", queued.seq);
-                        args.u64("delivered", delivered as u64);
-                    });
-                    let _ = reply.send(Event::Error(deadline_error()));
-                } else {
-                    recorder.instant("run_abandoned", |args| {
-                        args.u64("seq", queued.seq);
-                        args.u64("delivered", delivered as u64);
-                    });
-                }
-            }
-            Err(e) => {
-                // Failures are not cached: the error may be environmental
-                // (a trace file missing today can exist tomorrow).
-                let _ = reply.send(Event::Error(ErrorFrame::new(
-                    ErrorFrame::ENGINE,
-                    e.to_string(),
-                )));
-            }
         }
-        let mut state = shared.state.lock().expect("state mutex poisoned");
-        state.jobs_served += streamed;
-        state.results_streamed += streamed;
-        state.running -= 1;
-        if deadline_cancelled {
-            state.deadline_cancellations += 1;
+        Err(e) => {
+            // Failures are not cached: the error may be environmental
+            // (a trace file missing today can exist tomorrow).
+            let _ = reply.send(Event::Error(ErrorFrame::new(
+                ErrorFrame::ENGINE,
+                e.to_string(),
+            )));
         }
-        release_quota(&mut state, &client, job_count);
     }
+    settled
 }
 
 /// The terminal frame of a submission whose deadline passed.
@@ -604,29 +700,34 @@ fn release_quota(state: &mut State, client: &str, jobs: u64) {
 }
 
 fn accept_unix(shared: &Arc<Shared>, listener: &UnixListener) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false).ok();
-                stream.set_read_timeout(Some(REQUEST_TIMEOUT)).ok();
-                spawn_handler(shared, stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
+    while let Some(stream) = accept_next(shared, || listener.accept().map(|(stream, _)| stream)) {
+        stream.set_read_timeout(Some(REQUEST_TIMEOUT)).ok();
+        spawn_handler(shared, stream);
     }
 }
 
 fn accept_tcp(shared: &Arc<Shared>, listener: &TcpListener) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false).ok();
-                stream.set_read_timeout(Some(REQUEST_TIMEOUT)).ok();
-                spawn_handler(shared, stream);
+    while let Some(stream) = accept_next(shared, || listener.accept().map(|(stream, _)| stream)) {
+        stream.set_read_timeout(Some(REQUEST_TIMEOUT)).ok();
+        spawn_handler(shared, stream);
+    }
+}
+
+/// Blocks in `accept` until a client connects, returning `None` once
+/// shutdown has begun: the connection that woke the acceptor then is the
+/// shutdown wake-up (or a client arriving too late), dropped unserved.
+fn accept_next<S>(shared: &Shared, mut accept: impl FnMut() -> io::Result<S>) -> Option<S> {
+    loop {
+        let accepted = accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        match accepted {
+            Ok(stream) => {
+                shared.reap_connections();
+                return Some(stream);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -679,7 +780,7 @@ enum Admission {
         receiver: std::sync::mpsc::Receiver<Event>,
         queue_depth: u64,
         /// The submission's cancel token: tripped by this handler when the
-        /// client disconnects mid-stream, so the scheduler stops spending
+        /// client disconnects mid-stream, so its runner stops spending
         /// engine time on a reply nobody is reading.
         cancel: CancelToken,
     },
@@ -716,9 +817,9 @@ fn handle_submit<S: Write>(
         );
     }
     let workers = if submit.workers > 0 {
-        submit.workers
+        submit.workers.min(shared.budget)
     } else {
-        shared.config.workers
+        shared.budget
     };
     let config = EngineConfig::with_workers(workers)
         .with_segment_size(submit.segment_size)
@@ -852,7 +953,7 @@ fn handle_submit<S: Write>(
         } => {
             // Forward events until the terminal frame.  A failed write means
             // the client hung up: trip the submission's cancel token so the
-            // scheduler stops the run at the next job boundary and the
+            // runner stops the run at the next job boundary and the
             // client's quota frees promptly, instead of finishing a reply
             // nobody is reading.
             let mut forward = || -> io::Result<()> {
@@ -895,5 +996,50 @@ fn handle_submit<S: Write>(
             }
             outcome
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{client, Endpoint, SubmitOptions};
+
+    #[test]
+    fn finished_connection_handlers_are_reaped_on_accept() {
+        let socket = std::env::temp_dir().join(format!("sms-reap-{}.sock", std::process::id()));
+        let server = Server::start(ServerConfig {
+            unix_socket: Some(socket.clone()),
+            ..ServerConfig::default()
+        })
+        .expect("server starts");
+        let endpoint = Endpoint::Unix(socket);
+        let list = JobList::new(vec![engine::SimJob::new(memsim::SimJob::synthetic(
+            trace::Application::OltpDb2,
+            trace::GeneratorConfig::default().with_cpus(2),
+            2006,
+            2,
+            memsim::HierarchyConfig::scaled(),
+            engine::PrefetcherSpec::null(),
+            1_000,
+        ))]);
+        for _ in 0..50 {
+            client::submit(&endpoint, &list, &SubmitOptions::default(), &mut |_| {})
+                .expect("submission succeeds");
+        }
+        // Each accept joined the handlers finished by then: what is left is
+        // the last connection's handler and at most one still exiting.
+        let held = server
+            .shared
+            .connections
+            .lock()
+            .expect("connections mutex poisoned")
+            .len();
+        assert!(
+            held <= 2,
+            "{held} handler handles held after 50 submissions"
+        );
+        let metrics = server.shutdown();
+        assert_eq!(metrics.submissions, 50);
+        assert_eq!(metrics.cache_hits, 49);
     }
 }

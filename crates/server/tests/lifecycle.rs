@@ -1,11 +1,15 @@
 //! Server lifecycle coverage: byte-identity with the direct engine path,
-//! cache-hit replay, quota enforcement, structured errors, and graceful
-//! shutdown draining the queue.
+//! cache-hit replay, quota enforcement, structured errors, graceful
+//! shutdown draining the queue, prompt wake-up of idle listeners, and
+//! dispatch of queued submissions onto free workers.
 
 use engine::{EngineConfig, JobList, PrefetcherSpec, Registry, SimJob};
 use memsim::HierarchyConfig;
-use server::{client, Endpoint, ErrorFrame, Server, ServerConfig, ServerError, SubmitOptions};
+use server::{
+    client, Endpoint, ErrorFrame, Server, ServerConfig, ServerError, ServerMetrics, SubmitOptions,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use trace::{Application, GeneratorConfig};
 
@@ -420,6 +424,8 @@ fn overloaded_queue_sheds_new_submissions_but_still_serves_cache_hits() {
         "overload",
         ServerConfig {
             queue_max: 1,
+            // One worker, so the gated run below holds the only one.
+            workers: 1,
             registry: Some(std::sync::Arc::new(faultinject::registry())),
             ..ServerConfig::default()
         },
@@ -708,6 +714,222 @@ fn cache_dir_persists_results_across_restarts_and_tolerates_corruption() {
     assert_eq!(metrics.cache_loaded, 1);
     assert_eq!(metrics.cache_load_skipped, 1);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Starts an idle server listening on a unix socket and on TCP port `0`.
+fn start_both(tag: &str) -> (Server, Endpoint) {
+    let (server, endpoint) = start_unix(
+        tag,
+        ServerConfig {
+            tcp: Some("127.0.0.1:0".to_string()),
+            ..ServerConfig::default()
+        },
+    );
+    assert!(server.tcp_addr().is_some_and(|addr| addr.port() != 0));
+    (server, endpoint)
+}
+
+/// Runs `stop` on a thread and returns its result, failing the test if it
+/// takes a second or more.
+fn within_a_second<T: Send + 'static>(stop: impl FnOnce() -> T + Send + 'static) -> T {
+    let (sender, receiver) = std::sync::mpsc::channel();
+    std::thread::spawn(move || sender.send(stop()).ok());
+    receiver
+        .recv_timeout(Duration::from_secs(1))
+        .expect("an idle server must stop within 1 s")
+}
+
+#[test]
+fn idle_server_stops_within_a_second_through_server_shutdown() {
+    let (server, _endpoint) = start_both("wake-api");
+    // Let both acceptors block in `accept` before stopping.
+    std::thread::sleep(Duration::from_millis(50));
+    let metrics = within_a_second(move || server.shutdown());
+    assert_eq!(
+        metrics,
+        ServerMetrics::default(),
+        "wake-up connections count nowhere"
+    );
+}
+
+#[test]
+fn idle_server_stops_within_a_second_through_client_shutdown() {
+    let (server, endpoint) = start_both("wake-client");
+    std::thread::sleep(Duration::from_millis(50));
+    let ack = client::shutdown(&endpoint).expect("shutdown request");
+    assert_eq!(ack.draining, 0);
+    let metrics = within_a_second(move || server.wait());
+    assert_eq!(
+        metrics,
+        ServerMetrics::default(),
+        "wake-up connections count nowhere"
+    );
+}
+
+/// A gate token private to this test process and `slot`.
+fn gate_token(slot: u64) -> u64 {
+    (u64::from(std::process::id()) << 8) + slot
+}
+
+/// One job that holds its first access until gate `token` opens.
+fn gated_list(app: Application, token: u64) -> JobList {
+    JobList::new(vec![job(
+        app,
+        faultinject::Fault::Gate { token }.spec(),
+        3_000,
+    )])
+}
+
+fn submit_in_background(
+    endpoint: &Endpoint,
+    list: &JobList,
+    options: SubmitOptions,
+) -> JoinHandle<Result<server::SubmitOutcome, client::ClientError>> {
+    let endpoint = endpoint.clone();
+    let list = list.clone();
+    std::thread::spawn(move || client::submit(&endpoint, &list, &options, &mut |_| {}))
+}
+
+fn client_options(client: &str, priority: i64) -> SubmitOptions {
+    SubmitOptions {
+        client: client.to_string(),
+        priority,
+        ..SubmitOptions::default()
+    }
+}
+
+/// The served results of `outcome` as JSON, for byte comparison.
+fn served_json(outcome: &server::SubmitOutcome) -> String {
+    let results: Vec<&engine::JobResult> = outcome.frames.iter().map(|f| &f.result).collect();
+    serde_json::to_string_pretty(&results).expect("serialize served")
+}
+
+/// A serial direct run of `list` as JSON (any gate it waits on must be
+/// open).
+fn serial_json(list: &JobList) -> String {
+    let direct = engine::run_jobs_in(
+        &list.jobs,
+        &EngineConfig::serial(),
+        &faultinject::registry(),
+    )
+    .expect("serial run");
+    serde_json::to_string_pretty(&direct).expect("serialize direct")
+}
+
+fn faultinject_server(tag: &str, workers: usize) -> (Server, Endpoint) {
+    start_unix(
+        tag,
+        ServerConfig {
+            workers,
+            registry: Some(std::sync::Arc::new(faultinject::registry())),
+            ..ServerConfig::default()
+        },
+    )
+}
+
+#[test]
+fn queued_misses_from_two_clients_run_together_on_two_workers() {
+    let (server, endpoint) = faultinject_server("dispatch-two", 2);
+    let token = gate_token(1);
+    faultinject::close_gate(token).ok();
+    let first = gated_list(Application::OltpDb2, token);
+    let second = gated_list(Application::Ocean, token);
+    let first_thread = submit_in_background(&endpoint, &first, client_options("alice", 0));
+    let second_thread = submit_in_background(&endpoint, &second, client_options("bob", 0));
+    wait_for(
+        || {
+            let metrics = server.metrics();
+            metrics.running == 2 && metrics.queue_depth == 0
+        },
+        "both gated submissions running at once",
+    );
+
+    // A multi-job list arriving while both workers are held queues, then
+    // runs on whatever the gated runs hand back.
+    let list = job_list(3_000);
+    let third_thread = submit_in_background(&endpoint, &list, client_options("carol", 0));
+    wait_for(
+        || server.metrics().queue_depth == 1,
+        "third submission queued",
+    );
+
+    faultinject::open_gate(token).expect("open gate");
+    let first_outcome = first_thread.join().unwrap().expect("first submission");
+    let second_outcome = second_thread.join().unwrap().expect("second submission");
+    let third_outcome = third_thread.join().unwrap().expect("third submission");
+
+    // Whatever workers each run was granted, the frames match a serial run.
+    assert_eq!(served_json(&first_outcome), serial_json(&first));
+    assert_eq!(served_json(&second_outcome), serial_json(&second));
+    assert_eq!(served_json(&third_outcome), serial_json(&list));
+    faultinject::close_gate(token).ok();
+    let metrics = server.shutdown();
+    assert_eq!(metrics.jobs_served, 4);
+    assert_eq!(metrics.running, 0);
+}
+
+#[test]
+fn one_worker_queues_the_second_miss_and_starts_by_priority_when_it_frees() {
+    let (server, endpoint) = faultinject_server("dispatch-one", 1);
+    let (hold, low, high) = (gate_token(2), gate_token(3), gate_token(4));
+    for token in [hold, low, high] {
+        faultinject::close_gate(token).ok();
+    }
+    let held = gated_list(Application::OltpDb2, hold);
+    let held_thread = submit_in_background(&endpoint, &held, client_options("alice", 0));
+    wait_for(|| server.metrics().running == 1, "first submission running");
+
+    // The only worker is held: the second submission waits in the queue.
+    let low_list = gated_list(Application::Ocean, low);
+    let low_thread = submit_in_background(&endpoint, &low_list, client_options("bob", 0));
+    wait_for(
+        || server.metrics().queue_depth == 1,
+        "second submission queued",
+    );
+    let metrics = server.metrics();
+    assert_eq!((metrics.running, metrics.queue_depth), (1, 1));
+
+    // A later, higher-priority submission queues behind nothing.
+    let high_list = gated_list(Application::Sparse, high);
+    let high_thread = submit_in_background(&endpoint, &high_list, client_options("carol", 5));
+    wait_for(
+        || server.metrics().queue_depth == 2,
+        "third submission queued",
+    );
+
+    // Free the worker: the high-priority submission must start first.  It
+    // is the only one whose gate is open, so it can only complete if it
+    // holds the worker while the low-priority one still waits.
+    faultinject::open_gate(hold).expect("open hold gate");
+    held_thread.join().unwrap().expect("held submission");
+    faultinject::open_gate(high).expect("open high gate");
+    wait_for(
+        || high_thread.is_finished(),
+        "the high-priority submission to start first and complete",
+    );
+    assert!(
+        !low_thread.is_finished(),
+        "the low-priority submission cannot have run"
+    );
+    let high_outcome = high_thread.join().unwrap().expect("high submission");
+    wait_for(
+        || {
+            let metrics = server.metrics();
+            metrics.running == 1 && metrics.queue_depth == 0
+        },
+        "low-priority submission running",
+    );
+
+    faultinject::open_gate(low).expect("open low gate");
+    let low_outcome = low_thread.join().unwrap().expect("low submission");
+    assert_eq!(served_json(&high_outcome), serial_json(&high_list));
+    assert_eq!(served_json(&low_outcome), serial_json(&low_list));
+    for token in [hold, low, high] {
+        faultinject::close_gate(token).ok();
+    }
+    let metrics = server.shutdown();
+    assert_eq!(metrics.jobs_served, 3);
+    assert_eq!(metrics.max_queue_depth, 2);
 }
 
 fn wait_for(mut condition: impl FnMut() -> bool, what: &str) {
