@@ -18,9 +18,18 @@
 //! * jobs are sharded across worker threads (`std::thread::scope` with an
 //!   atomic work-stealing cursor; worker count from [`EngineConfig`],
 //!   defaulting to the available hardware parallelism);
-//! * every job builds its own access stream and prefetcher from the job
-//!   description on the executing thread, so parallel results are
-//!   **bit-identical** to the serial path;
+//! * every job builds its own prefetcher and system from the job
+//!   description on the executing thread, and reads exactly the accesses its
+//!   own trace source delivers, so parallel results are **bit-identical** to
+//!   the serial path;
+//! * jobs of one batch that read the same synthetic source **share one
+//!   generated trace** ([`share`]): a group is formed only when two or more
+//!   jobs read the source, its jobs are claimed back to back, the first to
+//!   start generates the trace into a compact buffer and every member
+//!   replays a prefix of it, and the buffer is dropped once the group's last
+//!   job has opened it — so at most one buffer per worker is alive.  File
+//!   sources, sources read by one job, and single [`run_job`] calls stream
+//!   exactly as before;
 //! * results are merged deterministically back into submission order, each
 //!   carrying the run's [`memsim::RunSummary`], an open serializable
 //!   [`ProbeReport`] (`{kind, data}` — density histograms, oracle misses,
@@ -63,6 +72,7 @@ pub mod hash;
 pub mod plugin;
 pub mod runner;
 pub mod segment;
+pub mod share;
 pub mod spec;
 pub mod speculate;
 pub mod telemetry;

@@ -1,27 +1,33 @@
 //! The job executor: runs a list of [`SimJob`]s serially or sharded across
 //! worker threads, with a deterministic merge of the results.
 //!
-//! Every job is self-contained — it builds its own system, resolves its
-//! prefetcher spec through a plugin [`Registry`] and opens its trace source
-//! (synthetic generator or streamed file) on whichever thread executes it —
-//! so the parallel path is bit-identical to the serial path and the result
-//! order never depends on scheduling.
+//! Every job is self-contained — it builds its own system and resolves its
+//! prefetcher spec through a plugin [`Registry`] on whichever thread executes
+//! it, and reads exactly the accesses its trace source delivers, whether
+//! streamed for the job alone or replayed from a trace the batch generated
+//! once for several jobs ([`crate::share`]) — so the parallel path is
+//! bit-identical to the serial path and the result order never depends on
+//! scheduling.
 //!
 //! Jobs and results are serializable end to end: a [`JobList`] round-trips
 //! through a JSON spec file (`sms-experiments run --spec jobs.json`), and a
 //! `Vec<JobResult>` is the JSON the engine writes back out.
 
-use crate::plugin::{PluginError, ProbeReport, Registry};
-use crate::segment::{run_job_segmented_observed, SegmentPlan};
+use crate::plugin::{BuiltPrefetcher, PluginError, ProbeReport, Registry};
+use crate::segment::{run_prepared_segmented, SegmentPlan};
+use crate::share::TracePlan;
 use crate::spec::PrefetcherSpec;
 use crate::telemetry::{EngineMetrics, JobMetrics, WorkerMetrics};
 use memsim::{MultiCpuSystem, RunSummary};
 use metrics::{MetricsConfig, Stopwatch};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use timing::{TimingConfig, TimingModel, TimingResult};
+use trace::BoxedStream;
 use tracelog::{Recorder, Trace};
 
 /// Timing-model parameters attached to a job that should run through the
@@ -462,20 +468,48 @@ pub fn run_job_metered(
     registry: &Registry,
     metrics: &MetricsConfig,
 ) -> Result<(JobResult, JobMetrics), EngineError> {
-    let sim = &job.sim;
-    let trace_error = |message: String| EngineError::Trace {
+    let (prefetcher, stream) = prepare_job(index, job, registry, job.sim.source.open())?;
+    run_prepared(index, job, prefetcher, stream, metrics)
+}
+
+/// The error for a job whose trace source failed.
+pub(crate) fn trace_error(index: usize, job: &SimJob, message: String) -> EngineError {
+    EngineError::Trace {
         job_index: index,
-        source: sim.source.describe(),
+        source: job.sim.source.describe(),
         message,
-    };
-    let mut prefetcher =
-        registry
-            .build(&sim.prefetcher, sim.cpus)
-            .map_err(|error| EngineError::Plugin {
-                job_index: index,
-                error,
-            })?;
-    let mut stream = sim.source.open().map_err(|e| trace_error(e.to_string()))?;
+    }
+}
+
+/// Builds the job's prefetcher, then takes the outcome of opening its trace:
+/// a job whose plugin and trace both fail reports the plugin error, however
+/// the trace was opened.
+pub(crate) fn prepare_job(
+    index: usize,
+    job: &SimJob,
+    registry: &Registry,
+    stream: io::Result<BoxedStream>,
+) -> Result<(BuiltPrefetcher, BoxedStream), EngineError> {
+    let prefetcher = registry
+        .build(&job.sim.prefetcher, job.sim.cpus)
+        .map_err(|error| EngineError::Plugin {
+            job_index: index,
+            error,
+        })?;
+    let stream = stream.map_err(|e| trace_error(index, job, e.to_string()))?;
+    Ok((prefetcher, stream))
+}
+
+/// Runs a prepared job — its built prefetcher and opened trace — through
+/// the cache driver or the timing model on the calling thread.
+fn run_prepared(
+    index: usize,
+    job: &SimJob,
+    mut prefetcher: BuiltPrefetcher,
+    mut stream: BoxedStream,
+    metrics: &MetricsConfig,
+) -> Result<(JobResult, JobMetrics), EngineError> {
+    let sim = &job.sim;
     let (mut result, job_metrics) = match &job.timing {
         Some(spec) => {
             let model = TimingModel::new(sim.hierarchy, sim.cpus, spec.config);
@@ -524,7 +558,7 @@ pub fn run_job_metered(
         }
     };
     if let Some(e) = stream.take_error() {
-        return Err(trace_error(format!("corrupt mid-stream: {e}")));
+        return Err(trace_error(index, job, format!("corrupt mid-stream: {e}")));
     }
     // A well-formed stream that simply ran dry is not an error (replaying a
     // recorded trace shorter than the budget is legitimate), but it must be
@@ -571,7 +605,7 @@ pub fn run_jobs_with(jobs: &[SimJob], config: &EngineConfig) -> Vec<JobResult> {
 ///
 /// With one effective worker the engine runs serially on the calling thread;
 /// either way the results are bit-identical, because each job builds its own
-/// access stream and prefetcher from the job description.
+/// prefetcher and reads exactly the accesses its own trace source delivers.
 ///
 /// # Errors
 ///
@@ -585,9 +619,17 @@ pub fn run_jobs_in(
     run_jobs_metered(jobs, config, registry, &MetricsConfig::disabled()).map(|(results, _)| results)
 }
 
-/// One executed job tagged with its submission index, or the error that
-/// stopped its worker.
-type TaggedOutcome = (usize, Result<(JobResult, JobMetrics), EngineError>);
+/// One executed job's result and telemetry, or the error that failed it.
+type Outcome = Result<(JobResult, JobMetrics), EngineError>;
+
+/// Everything one job execution reads besides the job itself.
+struct JobContext<'a> {
+    registry: &'a Registry,
+    metrics: &'a MetricsConfig,
+    plan: Option<SegmentPlan>,
+    trace: &'a Trace,
+    traces: &'a TracePlan,
+}
 
 /// Executes one job with panic isolation: a panic anywhere inside the job —
 /// plugin build, probe callback, segmented pipeline helper, speculative
@@ -600,22 +642,27 @@ type TaggedOutcome = (usize, Result<(JobResult, JobMetrics), EngineError>);
 /// [`std::thread::scope`], which joins them before the owning panic
 /// propagates out, so nothing outlives the catch.  `AssertUnwindSafe` is
 /// sound: the job's system, prefetcher and stream are constructed inside
-/// the closure and dropped with it, and the shared `registry`, `metrics`
-/// and `trace` are only read through `&` references.
-fn exec_job_isolated(
-    index: usize,
-    job: &SimJob,
-    registry: &Registry,
-    metrics: &MetricsConfig,
-    plan: Option<SegmentPlan>,
-    trace: &Trace,
-    rec: &Recorder,
-) -> Result<(JobResult, JobMetrics), EngineError> {
+/// the closure and dropped with it; the shared `registry`, `metrics` and
+/// `trace` are only read through `&` references; and the [`TracePlan`]
+/// changes its shared state only under its group locks, which tolerate
+/// poisoning.
+fn exec_job_isolated(index: usize, job: &SimJob, cx: &JobContext<'_>, rec: &Recorder) -> Outcome {
     let mut span = rec.span("job");
     span.arg_u64("job", index as u64);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match plan {
-        Some(p) => run_job_segmented_observed(index, job, registry, metrics, p, trace),
-        None => run_job_metered(index, job, registry, metrics),
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut prepare_span = rec.span("job.prepare");
+        prepare_span.arg_u64("job", index as u64);
+        // The trace opens first, so a shared buffer is released as soon as
+        // its group's last job is claimed, whatever happens to the job next.
+        let stream = cx.traces.open(index, job, rec);
+        let (prefetcher, stream) = prepare_job(index, job, cx.registry, stream)?;
+        drop(prepare_span);
+        match cx.plan {
+            Some(p) => {
+                run_prepared_segmented(index, job, prefetcher, stream, cx.metrics, p, cx.trace)
+            }
+            None => run_prepared(index, job, prefetcher, stream, cx.metrics),
+        }
     }));
     match outcome {
         Ok(result) => result,
@@ -631,13 +678,121 @@ fn exec_job_isolated(
     }
 }
 
-/// One worker's output: its timing plus the tagged job outcomes it ran.
-type WorkerShard = (WorkerMetrics, Vec<TaggedOutcome>);
+/// The shared claim cursor over a [`TracePlan`]'s claim order.
+struct Claims<'a> {
+    order: &'a [usize],
+    next: AtomicUsize,
+    /// Lowest job index that has failed so far (`usize::MAX` while none).
+    lowest_failure: AtomicUsize,
+}
+
+impl Claims<'_> {
+    /// The next job to run, or `None` once the order is exhausted.
+    ///
+    /// A job above the lowest failure so far cannot change the run's
+    /// outcome, so it is skipped.  Every job below the *final* lowest
+    /// failure is still run, which is what makes the reported error the
+    /// lowest-index one even though the claim order is not the submission
+    /// order.
+    fn claim(&self) -> Option<usize> {
+        loop {
+            let position = self.next.fetch_add(1, Ordering::Relaxed);
+            let index = *self.order.get(position)?;
+            if index < self.lowest_failure.load(Ordering::Relaxed) {
+                return Some(index);
+            }
+        }
+    }
+
+    fn failed(&self, index: usize) {
+        self.lowest_failure.fetch_min(index, Ordering::Relaxed);
+    }
+}
+
+/// One worker's loop: claim, execute, emit, until the claims run out, the
+/// run is cancelled, or `emit` reports that nobody is listening.
+fn work(
+    worker: usize,
+    jobs: &[SimJob],
+    claims: &Claims<'_>,
+    cx: &JobContext<'_>,
+    cancel: &CancelToken,
+    recorder: &Recorder,
+    emit: &mut dyn FnMut(usize, Outcome) -> bool,
+) -> WorkerMetrics {
+    let mut worker_span = recorder.span("worker");
+    let worker_watch = Stopwatch::start_if(cx.metrics.enabled);
+    let mut simulate_seconds = 0.0;
+    let mut jobs_run = 0u64;
+    while !cancel.is_cancelled() {
+        let Some(index) = claims.claim() else {
+            break;
+        };
+        let outcome = exec_job_isolated(index, &jobs[index], cx, recorder);
+        match &outcome {
+            Ok((_, job_metrics)) => simulate_seconds += job_metrics.elapsed_seconds,
+            Err(_) => claims.failed(index),
+        }
+        jobs_run += 1;
+        if !emit(index, outcome) {
+            break;
+        }
+    }
+    let total_seconds = worker_watch.elapsed_seconds();
+    let worker_metrics = WorkerMetrics {
+        worker,
+        jobs_run,
+        simulate_seconds,
+        queue_wait_seconds: (total_seconds - simulate_seconds).max(0.0),
+        total_seconds,
+    };
+    worker_span.arg_u64("jobs_run", jobs_run);
+    worker_span.arg_f64("queue_wait_seconds", worker_metrics.queue_wait_seconds);
+    worker_metrics
+}
+
+/// Reorders tagged outcomes into a strictly in-order stream for the sink.
+struct InOrder<'a> {
+    sink: &'a mut dyn FnMut(JobResult, JobMetrics),
+    cancel: &'a CancelToken,
+    pending: BTreeMap<usize, Outcome>,
+    delivered: usize,
+    jobs: Vec<JobMetrics>,
+    error: Option<EngineError>,
+}
+
+impl InOrder<'_> {
+    /// Accepts one outcome and emits every result that is now in order.  The
+    /// first in-order error is necessarily the lowest failing index —
+    /// everything before it was already emitted as a success — so it ends
+    /// the stream and cancels the remaining work.
+    fn push(&mut self, index: usize, outcome: Outcome) {
+        if self.error.is_some() {
+            return;
+        }
+        self.pending.insert(index, outcome);
+        while let Some(outcome) = self.pending.remove(&self.delivered) {
+            match outcome {
+                Ok((result, job_metrics)) => {
+                    self.jobs.push(job_metrics);
+                    (self.sink)(result, job_metrics);
+                    self.delivered += 1;
+                }
+                Err(e) => {
+                    self.error = Some(e);
+                    self.pending.clear();
+                    self.cancel.cancel();
+                    return;
+                }
+            }
+        }
+    }
+}
 
 /// [`run_jobs_in`] with telemetry: additionally collects an
 /// [`EngineMetrics`] — per-job throughput, per-worker simulate vs.
-/// queue-wait time, and the whole-run timing including the deterministic
-/// merge — when `metrics.enabled` (all timings zero otherwise).
+/// queue-wait time, the whole-run timing, and how many traces were shared —
+/// when `metrics.enabled` (all timings zero otherwise).
 ///
 /// Results are bit-identical to [`run_jobs_in`] for every metrics setting
 /// and worker count: telemetry is collected on a separate channel and never
@@ -657,8 +812,9 @@ pub fn run_jobs_metered(
 }
 
 /// [`run_jobs_metered`] with span tracing: when `trace` is enabled, every
-/// worker records a `worker` span, each executed job a nested `job` span,
-/// and segmented jobs hand the trace down to their pipeline threads for
+/// worker records a `worker` span, each executed job a nested `job` span
+/// with its `job.prepare` and `trace.open` or `trace.materialize` spans, and
+/// segmented jobs hand the trace down to their pipeline threads for
 /// per-segment stage spans.  With a disabled trace this *is*
 /// [`run_jobs_metered`] — recorders are no-ops that never read the clock —
 /// and results are bit-identical for every tracing and metrics setting.
@@ -673,114 +829,17 @@ pub fn run_jobs_observed(
     metrics: &MetricsConfig,
     trace: &Trace,
 ) -> Result<(Vec<JobResult>, EngineMetrics), EngineError> {
-    let run_watch = Stopwatch::start_if(metrics.enabled);
-    // With segmentation active the thread budget is spent inside jobs (up
-    // to three pipeline threads each), so fewer jobs run concurrently; the
-    // execution of each job is bit-identical either way.
-    let plan = config.segment_plan();
-    let workers = match &plan {
-        Some(p) => config.segmented_job_workers(jobs.len(), p),
-        None => config.effective_workers(jobs.len()),
-    };
-    let exec = |index: usize, job: &SimJob, rec: &Recorder| {
-        exec_job_isolated(index, job, registry, metrics, plan, trace, rec)
-    };
-    if workers <= 1 {
-        let recorder = trace.recorder("engine");
-        let mut results = Vec::with_capacity(jobs.len());
-        let mut engine_metrics = EngineMetrics::default();
-        let mut simulate_seconds = 0.0;
-        for (index, job) in jobs.iter().enumerate() {
-            let (result, job_metrics) = exec(index, job, &recorder)?;
-            simulate_seconds += job_metrics.elapsed_seconds;
-            results.push(result);
-            engine_metrics.jobs.push(job_metrics);
-        }
-        let total_seconds = run_watch.elapsed_seconds();
-        engine_metrics.workers.push(WorkerMetrics {
-            worker: 0,
-            jobs_run: jobs.len() as u64,
-            simulate_seconds,
-            queue_wait_seconds: (total_seconds - simulate_seconds).max(0.0),
-            total_seconds,
-        });
-        engine_metrics.finish(0.0, total_seconds);
-        return Ok((results, engine_metrics));
-    }
-
-    // Work-stealing by atomic cursor: each worker claims the next unclaimed
-    // job, so long jobs do not serialize behind a static partition.
-    let next = AtomicUsize::new(0);
-    let shards: Vec<WorkerShard> = std::thread::scope(|scope| {
-        let exec = &exec;
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                // `move` is for the worker index; the shared state is
-                // captured by reference.
-                let next = &next;
-                scope.spawn(move || {
-                    let recorder = trace.recorder(&format!("worker{worker}"));
-                    let mut worker_span = recorder.span("worker");
-                    let worker_watch = Stopwatch::start_if(metrics.enabled);
-                    let mut simulate_seconds = 0.0;
-                    let mut shard = Vec::new();
-                    loop {
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= jobs.len() {
-                            break;
-                        }
-                        let result = exec(index, &jobs[index], &recorder);
-                        let failed = result.is_err();
-                        if let Ok((_, job_metrics)) = &result {
-                            simulate_seconds += job_metrics.elapsed_seconds;
-                        }
-                        shard.push((index, result));
-                        if failed {
-                            // No point burning the queue down after a
-                            // failure; the merge below still picks the
-                            // lowest-index error deterministically.
-                            break;
-                        }
-                    }
-                    let total_seconds = worker_watch.elapsed_seconds();
-                    let worker_metrics = WorkerMetrics {
-                        worker,
-                        jobs_run: shard.len() as u64,
-                        simulate_seconds,
-                        queue_wait_seconds: (total_seconds - simulate_seconds).max(0.0),
-                        total_seconds,
-                    };
-                    worker_span.arg_u64("jobs_run", worker_metrics.jobs_run);
-                    worker_span.arg_f64("queue_wait_seconds", worker_metrics.queue_wait_seconds);
-                    (worker_metrics, shard)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("engine worker panicked"))
-            .collect()
-    });
-
-    // Deterministic merge: the tagged index recovers submission order
-    // regardless of which worker ran which job, and the lowest-index error
-    // wins regardless of scheduling.
-    let merge_watch = Stopwatch::start_if(metrics.enabled);
-    let mut engine_metrics = EngineMetrics::default();
-    let mut tagged: Vec<TaggedOutcome> = Vec::new();
-    for (worker_metrics, shard) in shards {
-        engine_metrics.workers.push(worker_metrics);
-        tagged.extend(shard);
-    }
-    tagged.sort_by_key(|(index, _)| *index);
-    let mut results = Vec::with_capacity(tagged.len());
-    for (_, outcome) in tagged {
-        let (result, job_metrics) = outcome?;
-        results.push(result);
-        engine_metrics.jobs.push(job_metrics);
-    }
+    let mut results = Vec::with_capacity(jobs.len());
+    let (_, engine_metrics) = run_jobs_streamed_observed(
+        jobs,
+        config,
+        registry,
+        metrics,
+        trace,
+        &CancelToken::new(),
+        &mut |result, _| results.push(result),
+    )?;
     debug_assert!(results.iter().enumerate().all(|(i, r)| r.job_index == i));
-    engine_metrics.finish(merge_watch.elapsed_seconds(), run_watch.elapsed_seconds());
     Ok((results, engine_metrics))
 }
 
@@ -821,13 +880,12 @@ impl CancelToken {
 /// [`run_jobs_metered`] would return for every worker count, segmentation
 /// and speculation setting — workers tag outcomes with the submission index
 /// and the calling thread reorders them into a strictly in-order stream, so
-/// a consumer can forward each result over a socket as it lands.  Because
-/// workers claim jobs from an atomic cursor, the claimed set is always a
-/// contiguous prefix of the list; a cancelled run therefore delivers jobs
-/// `0..n` for some `n` with nothing missing in between.
+/// a consumer can forward each result over a socket as it lands.  A
+/// cancelled run therefore delivers jobs `0..n` for some `n` with nothing
+/// missing in between; results computed past a gap are dropped.
 ///
 /// Returns the number of results delivered to the sink plus the run's
-/// [`EngineMetrics`] (no separate merge phase, so `merge_seconds` is zero).
+/// [`EngineMetrics`].
 ///
 /// # Errors
 ///
@@ -859,6 +917,11 @@ pub fn run_jobs_streamed(
 /// `job` span per executed job, stage spans inside segmented jobs — and a
 /// disabled trace records nothing and costs nothing.
 ///
+/// This is the engine's one dispatch loop.  A trace plan first groups
+/// the jobs that read the same synthetic source (see [`crate::share`]);
+/// workers then claim jobs in its group-major order, so each shared trace
+/// is generated once and at most one shared buffer per worker is alive.
+///
 /// # Errors
 ///
 /// As [`run_jobs_streamed`].
@@ -872,154 +935,107 @@ pub fn run_jobs_streamed_observed(
     sink: &mut dyn FnMut(JobResult, JobMetrics),
 ) -> Result<(usize, EngineMetrics), EngineError> {
     let run_watch = Stopwatch::start_if(metrics.enabled);
+    // With segmentation active the thread budget is spent inside jobs (up
+    // to three pipeline threads each), so fewer jobs run concurrently; the
+    // execution of each job is bit-identical either way.
     let plan = config.segment_plan();
     let workers = match &plan {
         Some(p) => config.segmented_job_workers(jobs.len(), p),
         None => config.effective_workers(jobs.len()),
     };
-    let exec = |index: usize, job: &SimJob, rec: &Recorder| {
-        exec_job_isolated(index, job, registry, metrics, plan, trace, rec)
+    let traces = TracePlan::new(jobs);
+    let cx = JobContext {
+        registry,
+        metrics,
+        plan,
+        trace,
+        traces: &traces,
     };
+    let claims = Claims {
+        order: traces.order(),
+        next: AtomicUsize::new(0),
+        lowest_failure: AtomicUsize::new(usize::MAX),
+    };
+    let mut merge = InOrder {
+        sink,
+        cancel,
+        pending: BTreeMap::new(),
+        delivered: 0,
+        jobs: Vec::new(),
+        error: None,
+    };
+    let mut engine_metrics = EngineMetrics::default();
 
     if workers <= 1 {
         let recorder = trace.recorder("engine");
-        let mut engine_metrics = EngineMetrics::default();
-        let mut simulate_seconds = 0.0;
-        let mut delivered = 0;
-        let mut first_error = None;
-        for (index, job) in jobs.iter().enumerate() {
-            if cancel.is_cancelled() {
-                break;
+        let worker = work(
+            0,
+            jobs,
+            &claims,
+            &cx,
+            cancel,
+            &recorder,
+            &mut |index, outcome| {
+                merge.push(index, outcome);
+                true
+            },
+        );
+        engine_metrics.workers.push(worker);
+    } else {
+        let (tx, rx) = mpsc::channel::<(usize, Outcome)>();
+        std::thread::scope(|scope| {
+            let (claims, cx) = (&claims, &cx);
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let tx = tx.clone();
+                    scope.spawn(move || {
+                        let recorder = trace.recorder(&format!("worker{worker}"));
+                        work(
+                            worker,
+                            jobs,
+                            claims,
+                            cx,
+                            cancel,
+                            &recorder,
+                            &mut |index, outcome| tx.send((index, outcome)).is_ok(),
+                        )
+                    })
+                })
+                .collect();
+            // The workers hold the only remaining senders, so the channel
+            // closes when the last one finishes.
+            drop(tx);
+            for (index, outcome) in rx {
+                merge.push(index, outcome);
             }
-            match exec(index, job, &recorder) {
-                Ok((result, job_metrics)) => {
-                    simulate_seconds += job_metrics.elapsed_seconds;
-                    engine_metrics.jobs.push(job_metrics);
-                    sink(result, job_metrics);
-                    delivered += 1;
-                }
-                Err(e) => {
-                    first_error = Some(e);
-                    break;
-                }
+            for handle in handles {
+                engine_metrics
+                    .workers
+                    .push(handle.join().expect("engine worker panicked"));
             }
-        }
-        if first_error.is_none() && cancel.is_cancelled() {
-            recorder.instant("run_cancelled", |args| {
-                args.u64("delivered", delivered as u64);
-            });
-        }
-        let total_seconds = run_watch.elapsed_seconds();
-        engine_metrics.workers.push(WorkerMetrics {
-            worker: 0,
-            jobs_run: delivered as u64,
-            simulate_seconds,
-            queue_wait_seconds: (total_seconds - simulate_seconds).max(0.0),
-            total_seconds,
         });
-        engine_metrics.finish(0.0, total_seconds);
-        return match first_error {
-            Some(e) => Err(e),
-            None => Ok((delivered, engine_metrics)),
-        };
     }
 
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<TaggedOutcome>();
-    let mut engine_metrics = EngineMetrics::default();
-    let mut delivered = 0usize;
-    let mut first_error: Option<EngineError> = None;
-    std::thread::scope(|scope| {
-        let exec = &exec;
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let next = &next;
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let recorder = trace.recorder(&format!("worker{worker}"));
-                    let mut worker_span = recorder.span("worker");
-                    let worker_watch = Stopwatch::start_if(metrics.enabled);
-                    let mut simulate_seconds = 0.0;
-                    let mut jobs_run = 0u64;
-                    loop {
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        let index = next.fetch_add(1, Ordering::Relaxed);
-                        if index >= jobs.len() {
-                            break;
-                        }
-                        let outcome = exec(index, &jobs[index], &recorder);
-                        let failed = outcome.is_err();
-                        if let Ok((_, job_metrics)) = &outcome {
-                            simulate_seconds += job_metrics.elapsed_seconds;
-                        }
-                        jobs_run += 1;
-                        if tx.send((index, outcome)).is_err() || failed {
-                            break;
-                        }
-                    }
-                    let total_seconds = worker_watch.elapsed_seconds();
-                    let worker_metrics = WorkerMetrics {
-                        worker,
-                        jobs_run,
-                        simulate_seconds,
-                        queue_wait_seconds: (total_seconds - simulate_seconds).max(0.0),
-                        total_seconds,
-                    };
-                    worker_span.arg_u64("jobs_run", jobs_run);
-                    worker_span.arg_f64("queue_wait_seconds", worker_metrics.queue_wait_seconds);
-                    worker_metrics
-                })
-            })
-            .collect();
-        // The workers hold the only remaining senders, so the channel closes
-        // when the last one finishes.
-        drop(tx);
-
-        // Reorder the tagged outcomes into a strictly in-order stream.  On
-        // the first in-order error (necessarily the lowest failing index:
-        // everything before it was already emitted as a success) cancel the
-        // remaining work and drain the channel.
-        let mut pending: std::collections::BTreeMap<
-            usize,
-            Result<(JobResult, JobMetrics), EngineError>,
-        > = std::collections::BTreeMap::new();
-        let mut next_emit = 0usize;
-        for (index, outcome) in rx {
-            pending.insert(index, outcome);
-            while first_error.is_none() {
-                match pending.remove(&next_emit) {
-                    Some(Ok((result, job_metrics))) => {
-                        engine_metrics.jobs.push(job_metrics);
-                        sink(result, job_metrics);
-                        delivered += 1;
-                        next_emit += 1;
-                    }
-                    Some(Err(e)) => {
-                        first_error = Some(e);
-                        cancel.cancel();
-                    }
-                    None => break,
-                }
-            }
-        }
-        for handle in handles {
-            engine_metrics
-                .workers
-                .push(handle.join().expect("engine worker panicked"));
-        }
-    });
-    if first_error.is_none() && cancel.is_cancelled() {
+    let InOrder {
+        delivered,
+        jobs: job_metrics,
+        error,
+        ..
+    } = merge;
+    if error.is_none() && cancel.is_cancelled() {
         trace.recorder("engine").instant("run_cancelled", |args| {
             args.u64("delivered", delivered as u64);
         });
     }
-    engine_metrics.finish(0.0, run_watch.elapsed_seconds());
-    match first_error {
-        Some(e) => Err(e),
-        None => Ok((delivered, engine_metrics)),
+    if let Some(e) = error {
+        return Err(e);
     }
+    engine_metrics.jobs = job_metrics;
+    engine_metrics.shared_generations = traces.generations();
+    engine_metrics.shared_replays = traces.replays();
+    engine_metrics.peak_shared_buffers = traces.peak_buffers();
+    engine_metrics.finish(run_watch.elapsed_seconds());
+    Ok((delivered, engine_metrics))
 }
 
 #[cfg(test)]
@@ -1596,5 +1612,251 @@ mod tests {
             .expect_err("missing file must fail");
         assert!(matches!(err, EngineError::Trace { job_index: 0, .. }));
         assert!(err.to_string().contains("trace source"), "{err}");
+    }
+
+    /// Each job run alone through [`run_job`]: the reference every shared
+    /// or streamed execution must reproduce byte for byte.
+    fn solo_results(jobs: &[SimJob], registry: &Registry) -> Vec<JobResult> {
+        jobs.iter()
+            .enumerate()
+            .map(|(i, job)| run_job(i, job, registry).expect("job runs alone"))
+            .collect()
+    }
+
+    fn shared_job(app: Application, prefetcher: PrefetcherSpec, accesses: usize) -> SimJob {
+        let mut job = job(app, prefetcher);
+        job.sim.accesses = accesses;
+        job
+    }
+
+    #[test]
+    fn a_source_read_by_one_job_is_never_materialised() {
+        let jobs: Vec<SimJob> = [
+            Application::OltpDb2,
+            Application::DssQry1,
+            Application::WebApache,
+            Application::Ocean,
+        ]
+        .into_iter()
+        .map(|app| job(app, PrefetcherSpec::sms_paper_default()))
+        .collect();
+        let expected = solo_results(&jobs, Registry::builtin());
+        for workers in [1, 2] {
+            let (results, m) = run_jobs_metered(
+                &jobs,
+                &EngineConfig::with_workers(workers),
+                Registry::builtin(),
+                &MetricsConfig::disabled(),
+            )
+            .expect("jobs run");
+            assert_eq!(results, expected, "workers = {workers}");
+            assert_eq!(
+                (
+                    m.shared_generations,
+                    m.shared_replays,
+                    m.peak_shared_buffers
+                ),
+                (0, 0, 0)
+            );
+        }
+    }
+
+    #[test]
+    fn file_sources_are_never_materialised() {
+        let recorded: Vec<trace::MemAccess> = Application::Sparse
+            .stream(3, &GeneratorConfig::default().with_cpus(2))
+            .take(3_000)
+            .collect();
+        let path =
+            std::env::temp_dir().join(format!("sms-engine-shared-file-{}.bin", std::process::id()));
+        trace::io::write_binary(std::fs::File::create(&path).unwrap(), &recorded).unwrap();
+        let file_job = |prefetcher: PrefetcherSpec| {
+            SimJob::new(memsim::SimJob {
+                source: trace::TraceSource::binary_file(path.to_string_lossy()),
+                cpus: 2,
+                hierarchy: HierarchyConfig::scaled(),
+                prefetcher,
+                accesses: 3_000,
+            })
+        };
+        let jobs = vec![
+            file_job(PrefetcherSpec::null()),
+            file_job(PrefetcherSpec::sms_paper_default()),
+            file_job(PrefetcherSpec::ghb(&GhbConfig::paper_small())),
+        ];
+        let expected = solo_results(&jobs, Registry::builtin());
+        for workers in [1, 2] {
+            let (results, m) = run_jobs_metered(
+                &jobs,
+                &EngineConfig::with_workers(workers),
+                Registry::builtin(),
+                &MetricsConfig::disabled(),
+            )
+            .expect("jobs run");
+            assert_eq!(results, expected, "workers = {workers}");
+            assert_eq!((m.shared_generations, m.shared_replays), (0, 0));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn at_most_one_shared_buffer_per_worker_is_alive() {
+        // Figure 7's shape: within a class the applications alternate, so
+        // every source's jobs are spread across the list.
+        let mut jobs = Vec::new();
+        for apps in [
+            [Application::OltpDb2, Application::DssQry1],
+            [Application::Ocean, Application::Sparse],
+        ] {
+            for prefetcher in [
+                PrefetcherSpec::null(),
+                PrefetcherSpec::sms_paper_default(),
+                PrefetcherSpec::sms(&SmsConfig::paper_default()),
+                PrefetcherSpec::ghb(&GhbConfig::paper_small()),
+            ] {
+                for app in apps {
+                    jobs.push(shared_job(app, prefetcher.clone(), 4_000));
+                }
+            }
+        }
+        let expected = solo_results(&jobs, Registry::builtin());
+        for (workers, segment_size) in [(1, 0), (2, 0), (3, 0), (2, 1_000)] {
+            let config = EngineConfig::with_workers(workers).with_segment_size(segment_size);
+            let (results, m) = run_jobs_metered(
+                &jobs,
+                &config,
+                Registry::builtin(),
+                &MetricsConfig::disabled(),
+            )
+            .expect("jobs run");
+            assert_eq!(results, expected, "workers = {workers}/{segment_size}");
+            assert_eq!(m.shared_generations, 4, "one generation per source");
+            assert_eq!(m.shared_replays, jobs.len() as u64 - 4);
+            let job_workers = match config.segment_plan() {
+                Some(plan) => config.segmented_job_workers(jobs.len(), &plan),
+                None => config.effective_workers(jobs.len()),
+            };
+            assert!(m.peak_shared_buffers >= 1);
+            assert!(
+                m.peak_shared_buffers <= job_workers as u64,
+                "{} buffers alive on {job_workers} workers",
+                m.peak_shared_buffers
+            );
+        }
+    }
+
+    #[test]
+    fn shorter_jobs_replay_a_prefix_of_the_longest() {
+        let jobs = vec![
+            shared_job(Application::WebZeus, PrefetcherSpec::null(), 2_000),
+            shared_job(
+                Application::WebZeus,
+                PrefetcherSpec::sms_paper_default(),
+                9_000,
+            ),
+            shared_job(Application::WebZeus, PrefetcherSpec::null(), 9_000)
+                .with_timing(TimingConfig::table1(), 3),
+            shared_job(Application::WebZeus, PrefetcherSpec::null(), 0),
+        ];
+        let expected = solo_results(&jobs, Registry::builtin());
+        for workers in [1, 3] {
+            let results = run_jobs_with(&jobs, &EngineConfig::with_workers(workers));
+            assert_eq!(results, expected, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn lowest_index_error_survives_group_major_claims() {
+        // Claim order is [0, 2, 1]: job 2 fails first, yet job 1 must still
+        // run and its lower-index failure must win.
+        let unknown = |app| {
+            job(
+                app,
+                PrefetcherSpec {
+                    plugin: "warp-drive".to_string(),
+                    params: serde_json::Value::Null,
+                },
+            )
+        };
+        let jobs = vec![
+            job(Application::Ocean, PrefetcherSpec::null()),
+            unknown(Application::Sparse),
+            unknown(Application::Ocean),
+        ];
+        for workers in [1, 2] {
+            let err = run_jobs_in(
+                &jobs,
+                &EngineConfig::with_workers(workers),
+                Registry::builtin(),
+            )
+            .expect_err("unknown plugin must fail");
+            assert!(
+                matches!(err, EngineError::Plugin { job_index: 1, .. }),
+                "workers = {workers}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panic_inside_a_group_fails_only_its_own_job() {
+        let registry = chaos_registry();
+        // The panicking job is the group's first, so it generates the shared
+        // buffer and then panics while replaying it.
+        let jobs = vec![
+            panic_job(),
+            job(Application::Ocean, PrefetcherSpec::null()),
+            job(Application::Ocean, PrefetcherSpec::sms_paper_default()),
+            job(
+                Application::Ocean,
+                PrefetcherSpec::ghb(&GhbConfig::paper_small()),
+            ),
+        ];
+        let traces = TracePlan::new(&jobs);
+        let cx = JobContext {
+            registry: &registry,
+            metrics: &MetricsConfig::disabled(),
+            plan: None,
+            trace: &Trace::disabled(),
+            traces: &traces,
+        };
+        let rec = Recorder::disabled();
+        for &index in traces.order() {
+            let outcome = exec_job_isolated(index, &jobs[index], &cx, &rec);
+            if index == 0 {
+                assert!(matches!(
+                    outcome,
+                    Err(EngineError::Panicked { job_index: 0, .. })
+                ));
+            } else {
+                let (result, _) = outcome.expect("other members run");
+                let expected = run_job(index, &jobs[index], &registry).expect("runs alone");
+                assert_eq!(
+                    serde_json::to_string(&result).unwrap(),
+                    serde_json::to_string(&expected).unwrap(),
+                    "job {index}"
+                );
+            }
+        }
+        assert_eq!((traces.generations(), traces.replays()), (1, 3));
+
+        // Through the dispatch loop, with the panicking job last in its
+        // group: the members before it stream their solo bytes.
+        let mut jobs = jobs;
+        jobs.rotate_left(1);
+        let expected = solo_results(&jobs[..3], &registry);
+        for workers in [1, 2] {
+            let mut streamed = Vec::new();
+            let err = run_jobs_streamed(
+                &jobs,
+                &EngineConfig::with_workers(workers),
+                &registry,
+                &MetricsConfig::disabled(),
+                &CancelToken::new(),
+                &mut |result, _| streamed.push(result),
+            )
+            .expect_err("the panicking job fails the run");
+            assert!(matches!(err, EngineError::Panicked { job_index: 3, .. }));
+            assert_eq!(streamed, expected, "workers = {workers}");
+        }
     }
 }

@@ -54,7 +54,7 @@
 //! no serial fallback.
 
 use crate::plugin::{BuiltPrefetcher, KindSink, Registry};
-use crate::runner::{EngineError, JobResult, JobWarning, SimJob};
+use crate::runner::{prepare_job, trace_error, EngineError, JobResult, JobWarning, SimJob};
 use crate::telemetry::JobMetrics;
 use memsim::{
     DriverMeter, DriverMetrics, MissAccounting, MultiCpuSystem, OutcomeTape, PrefetchRequest,
@@ -191,30 +191,34 @@ pub fn run_job_segmented_observed(
     plan: SegmentPlan,
     trace: &Trace,
 ) -> Result<(JobResult, JobMetrics), EngineError> {
+    let (prefetcher, stream) = prepare_job(index, job, registry, job.sim.source.open())?;
+    run_prepared_segmented(index, job, prefetcher, stream, metrics, plan, trace)
+}
+
+/// Runs a prepared job — its built prefetcher and opened trace — through the
+/// segment pipeline.  Its `job.prepare` span covers building the pipeline's
+/// system and accounting state; the engine's span around the job covers
+/// the prefetcher build and the trace open.
+pub(crate) fn run_prepared_segmented(
+    index: usize,
+    job: &SimJob,
+    mut prefetcher: BuiltPrefetcher,
+    stream: BoxedStream,
+    metrics: &MetricsConfig,
+    plan: SegmentPlan,
+    trace: &Trace,
+) -> Result<(JobResult, JobMetrics), EngineError> {
     let sim = &job.sim;
-    let trace_error = |message: String| EngineError::Trace {
-        job_index: index,
-        source: sim.source.describe(),
-        message,
-    };
     // Prepare and finalize get their own spans so the stage spans plus
     // these two account for (nearly) the whole job span: coverage gaps in
     // a trace read as instrumented time that was actually spent elsewhere.
     let recorder = trace.recorder(&format!("job{index}.pipeline"));
     let mut prepare_span = recorder.span("job.prepare");
     prepare_span.arg_u64("job", index as u64);
-    let mut prefetcher =
-        registry
-            .build(&sim.prefetcher, sim.cpus)
-            .map_err(|error| EngineError::Plugin {
-                job_index: index,
-                error,
-            })?;
     // Deferred classification delivers `None` kinds during simulation, so a
     // kind-consuming probe's sink travels with the *account* stage, which
     // replays the authoritative kinds into it segment by segment.
     let sink = prefetcher.take_kind_sink();
-    let stream = sim.source.open().map_err(|e| trace_error(e.to_string()))?;
 
     let pipeline = Pipeline {
         system: MultiCpuSystem::new(sim.cpus, &sim.hierarchy),
@@ -245,7 +249,7 @@ pub fn run_job_segmented_observed(
     };
 
     if let Some(e) = end.stream_error {
-        return Err(trace_error(format!("corrupt mid-stream: {e}")));
+        return Err(trace_error(index, job, format!("corrupt mid-stream: {e}")));
     }
 
     let mut finalize_span = recorder.span("job.finalize");

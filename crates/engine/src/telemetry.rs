@@ -5,11 +5,10 @@
 //! `--out` files and golden hashes stay bit-identical whether or not
 //! telemetry is collected), while [`run_jobs_metered`](crate::runner::run_jobs_metered)
 //! returns an [`EngineMetrics`] alongside the results.  The whole-run view
-//! splits wall-clock time into the three phases of the engine — in-loop
-//! **simulate** time per worker, the residual **queue wait** (claiming from
-//! the shared cursor plus per-job preparation), and the deterministic
-//! result **merge** — which is exactly the breakdown the next scaling steps
-//! (segment sharding, async trace IO) need as a baseline.
+//! splits wall-clock time into in-loop **simulate** time per worker and the
+//! residual **queue wait** (claiming from the shared cursor plus per-job
+//! preparation), and counts how many traces the batch generated once and
+//! replayed to several jobs.
 
 use memsim::DriverMetrics;
 use metrics::{per_sec, Histogram, MetricsReport};
@@ -149,8 +148,14 @@ pub struct EngineMetrics {
     pub total_accesses: u64,
     /// Sum of worker simulate time (CPU-seconds of useful work).
     pub simulate_seconds: f64,
-    /// Wall-clock seconds spent merging results back into submission order.
-    pub merge_seconds: f64,
+    /// Shared traces generated: one per synthetic source that two or more
+    /// jobs of the batch read (see [`crate::share`]).
+    pub shared_generations: u64,
+    /// Jobs that replayed a shared trace another job had generated.
+    pub shared_replays: u64,
+    /// The most shared trace buffers alive at once; never above the number
+    /// of job-level workers.
+    pub peak_shared_buffers: u64,
     /// Whole-run wall-clock seconds.
     pub total_seconds: f64,
     /// Aggregate throughput: total accesses over whole-run wall-clock time.
@@ -162,10 +167,9 @@ impl EngineMetrics {
     pub const REPORT_KIND: &'static str = "engine-run";
 
     /// Stamps the run-level aggregates from the collected parts.
-    pub(crate) fn finish(&mut self, merge_seconds: f64, total_seconds: f64) {
+    pub(crate) fn finish(&mut self, total_seconds: f64) {
         self.total_accesses = self.jobs.iter().map(|j| j.accesses).sum();
         self.simulate_seconds = self.workers.iter().map(|w| w.simulate_seconds).sum();
-        self.merge_seconds = merge_seconds;
         self.total_seconds = total_seconds;
         self.accesses_per_sec = per_sec(self.total_accesses, total_seconds);
     }
@@ -231,7 +235,7 @@ mod tests {
             ],
             ..EngineMetrics::default()
         };
-        m.finish(0.25, 2.0);
+        m.finish(2.0);
         assert_eq!(m.total_accesses, 1_000);
         assert!((m.simulate_seconds - 3.0).abs() < 1e-12);
         assert!((m.accesses_per_sec - 500.0).abs() < 1e-9);

@@ -25,6 +25,7 @@ use crate::workloads::common::{
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Which TPC-H query to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,13 +131,55 @@ struct DssParams {
 /// Spatial region (database page sub-unit) used by the DSS generator (2 kB).
 pub const DSS_REGION_BYTES: u64 = 2048;
 
+/// The scan and probe pattern libraries all CPUs share.
+#[derive(Debug)]
+struct DssLibraries {
+    scan: PatternLibrary,
+    probe: PatternLibrary,
+}
+
+/// Builds the shared libraries from a CPU-independent RNG.
+fn libraries(query: DssQuery, seed: u64) -> DssLibraries {
+    let params = query.params();
+    let mut lib_rng = cpu_rng(seed, 0x10 + query as u64, 255);
+    let region_blocks = (DSS_REGION_BYTES / BLOCK_BYTES) as u32;
+    let scan_paths: Vec<CodePath> = (0..params.scan_paths)
+        .map(|i| CodePath::new("dss-scan", 0x0060_0000 + (i as u64) * 0x40))
+        .collect();
+    let probe_paths: Vec<CodePath> = (0..params.probe_paths)
+        .map(|i| CodePath::new("dss-probe", 0x0068_0000 + (i as u64) * 0x40))
+        .collect();
+    let scan = PatternLibrary::generate(
+        &mut lib_rng,
+        scan_paths,
+        &PatternLibraryConfig {
+            region_blocks,
+            variants_per_path: 2,
+            min_density: params.scan_min_density,
+            max_density: params.scan_max_density,
+            contiguous_fraction: 0.85,
+        },
+    );
+    let probe = PatternLibrary::generate(
+        &mut lib_rng,
+        probe_paths,
+        &PatternLibraryConfig {
+            region_blocks,
+            variants_per_path: 3,
+            min_density: params.probe_min_density,
+            max_density: params.probe_max_density,
+            contiguous_fraction: 0.3,
+        },
+    );
+    DssLibraries { scan, probe }
+}
+
 /// Per-processor DSS access stream.
 pub struct DssCpuStream {
     name: String,
     cpu: u8,
     rng: ChaCha8Rng,
-    scan_lib: PatternLibrary,
-    probe_lib: PatternLibrary,
+    libs: Arc<DssLibraries>,
     params: DssParams,
     /// Next region index in this CPU's partition of the scanned table.
     scan_cursor: u64,
@@ -160,40 +203,17 @@ impl std::fmt::Debug for DssCpuStream {
 }
 
 impl DssCpuStream {
-    /// Creates the stream for one processor.
-    pub fn new(query: DssQuery, seed: u64, config: &GeneratorConfig, cpu: u8) -> Self {
+    /// Creates the stream for one processor over the pattern libraries
+    /// [`libraries`] built for the same query and seed.
+    fn new(
+        query: DssQuery,
+        seed: u64,
+        config: &GeneratorConfig,
+        cpu: u8,
+        libs: Arc<DssLibraries>,
+    ) -> Self {
         let params = query.params();
         let rng = cpu_rng(seed, 0x10 + query as u64, cpu);
-        let mut lib_rng = cpu_rng(seed, 0x10 + query as u64, 255);
-        let region_blocks = (DSS_REGION_BYTES / BLOCK_BYTES) as u32;
-        let scan_paths: Vec<CodePath> = (0..params.scan_paths)
-            .map(|i| CodePath::new("dss-scan", 0x0060_0000 + (i as u64) * 0x40))
-            .collect();
-        let probe_paths: Vec<CodePath> = (0..params.probe_paths)
-            .map(|i| CodePath::new("dss-probe", 0x0068_0000 + (i as u64) * 0x40))
-            .collect();
-        let scan_lib = PatternLibrary::generate(
-            &mut lib_rng,
-            scan_paths,
-            &PatternLibraryConfig {
-                region_blocks,
-                variants_per_path: 2,
-                min_density: params.scan_min_density,
-                max_density: params.scan_max_density,
-                contiguous_fraction: 0.85,
-            },
-        );
-        let probe_lib = PatternLibrary::generate(
-            &mut lib_rng,
-            probe_paths,
-            &PatternLibraryConfig {
-                region_blocks,
-                variants_per_path: 3,
-                min_density: params.probe_min_density,
-                max_density: params.probe_max_density,
-                contiguous_fraction: 0.3,
-            },
-        );
         // The scanned table is much larger than the generated trace so that
         // scan pages really are visited only once; size it at 16x the
         // configured data set and partition it across CPUs.
@@ -204,8 +224,7 @@ impl DssCpuStream {
             name: format!("{}-cpu{cpu}", query.label()),
             cpu,
             rng,
-            scan_lib,
-            probe_lib,
+            libs,
             params,
             scan_cursor: 0,
             scan_regions,
@@ -248,10 +267,10 @@ impl DssCpuStream {
         // One scan operator instance uses the same few code paths for the
         // whole sweep: derive the path from the cursor coarsely so a long
         // run of pages shares a path, as a tight scan loop would.
-        let path = ((self.scan_cursor / 512) as usize) % self.scan_lib.num_paths();
+        let path = ((self.scan_cursor / 512) as usize) % self.libs.scan.num_paths();
         let variant = zipf_index(&mut self.rng, 2, 0.5);
         let mut queue = std::mem::take(&mut self.queue);
-        self.scan_lib.emit(
+        self.libs.scan.emit(
             &mut self.rng,
             &mut queue,
             self.cpu,
@@ -268,10 +287,10 @@ impl DssCpuStream {
     fn emit_hash_probe(&mut self) {
         let bucket = self.rng.gen_range(0..self.hash_regions);
         let region = self.hash_table_base() + bucket * DSS_REGION_BYTES;
-        let path = self.rng.gen_range(0..self.probe_lib.num_paths());
+        let path = self.rng.gen_range(0..self.libs.probe.num_paths());
         let variant = zipf_index(&mut self.rng, 3, 0.6);
         let mut queue = std::mem::take(&mut self.queue);
-        self.probe_lib.emit(
+        self.libs.probe.emit(
             &mut self.rng,
             &mut queue,
             self.cpu,
@@ -318,8 +337,12 @@ impl AccessStream for DssCpuStream {
 
 /// Builds the globally-interleaved DSS stream over all configured CPUs.
 pub fn stream(query: DssQuery, seed: u64, config: &GeneratorConfig) -> Interleaver {
+    let libs = Arc::new(libraries(query, seed));
     let streams: Vec<BoxedStream> = (0..config.cpus)
-        .map(|cpu| Box::new(DssCpuStream::new(query, seed, config, cpu as u8)) as BoxedStream)
+        .map(|cpu| {
+            let cpu_stream = DssCpuStream::new(query, seed, config, cpu as u8, Arc::clone(&libs));
+            Box::new(cpu_stream) as BoxedStream
+        })
         .collect();
     // DSS queries run long pipeline stages per CPU, so use longer bursts
     // than OLTP when interleaving processors.

@@ -28,6 +28,7 @@ use crate::workloads::common::{
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Which commercial DBMS configuration to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,12 +97,33 @@ struct OltpParams {
 /// Spatial region size the generator lays structures out in (2 kB).
 pub const OLTP_REGION_BYTES: u64 = 2048;
 
+/// The pattern library all CPUs share (same binary, same code), built from
+/// a CPU-independent RNG.
+fn library(variant: OltpVariant, seed: u64) -> PatternLibrary {
+    let params = variant.params();
+    let mut lib_rng = cpu_rng(seed, 0x01 + variant as u64, 255);
+    let paths: Vec<CodePath> = (0..params.code_paths)
+        .map(|i| CodePath::new("oltp", 0x0040_0000 + (i as u64) * 0x40))
+        .collect();
+    PatternLibrary::generate(
+        &mut lib_rng,
+        paths,
+        &PatternLibraryConfig {
+            region_blocks: (OLTP_REGION_BYTES / BLOCK_BYTES) as u32,
+            variants_per_path: params.variants_per_path,
+            min_density: params.min_density,
+            max_density: params.max_density,
+            contiguous_fraction: params.contiguous_fraction,
+        },
+    )
+}
+
 /// Per-processor OLTP access stream.
 pub struct OltpCpuStream {
     name: String,
     cpu: u8,
     rng: ChaCha8Rng,
-    lib: PatternLibrary,
+    lib: Arc<PatternLibrary>,
     params: OltpParams,
     num_regions: u64,
     /// Log region private to this CPU; appended sequentially.
@@ -122,27 +144,17 @@ impl std::fmt::Debug for OltpCpuStream {
 }
 
 impl OltpCpuStream {
-    /// Creates the stream for one processor.
-    pub fn new(variant: OltpVariant, seed: u64, config: &GeneratorConfig, cpu: u8) -> Self {
+    /// Creates the stream for one processor over the pattern library
+    /// [`library`] built for the same variant and seed.
+    fn new(
+        variant: OltpVariant,
+        seed: u64,
+        config: &GeneratorConfig,
+        cpu: u8,
+        lib: Arc<PatternLibrary>,
+    ) -> Self {
         let params = variant.params();
         let mut rng = cpu_rng(seed, 0x01 + variant as u64, cpu);
-        // All CPUs share the same pattern library (same binary / same code),
-        // so build it from a CPU-independent RNG.
-        let mut lib_rng = cpu_rng(seed, 0x01 + variant as u64, 255);
-        let paths: Vec<CodePath> = (0..params.code_paths)
-            .map(|i| CodePath::new("oltp", 0x0040_0000 + (i as u64) * 0x40))
-            .collect();
-        let lib = PatternLibrary::generate(
-            &mut lib_rng,
-            paths,
-            &PatternLibraryConfig {
-                region_blocks: (OLTP_REGION_BYTES / BLOCK_BYTES) as u32,
-                variants_per_path: params.variants_per_path,
-                min_density: params.min_density,
-                max_density: params.max_density,
-                contiguous_fraction: params.contiguous_fraction,
-            },
-        );
         let num_regions = (config.data_set_bytes / OLTP_REGION_BYTES).max(64);
         let contexts = (0..params.concurrent_transactions)
             .map(|_| VecDeque::new())
@@ -251,8 +263,12 @@ impl AccessStream for OltpCpuStream {
 
 /// Builds the globally-interleaved OLTP stream over all configured CPUs.
 pub fn stream(variant: OltpVariant, seed: u64, config: &GeneratorConfig) -> Interleaver {
+    let lib = Arc::new(library(variant, seed));
     let streams: Vec<BoxedStream> = (0..config.cpus)
-        .map(|cpu| Box::new(OltpCpuStream::new(variant, seed, config, cpu as u8)) as BoxedStream)
+        .map(|cpu| {
+            let cpu_stream = OltpCpuStream::new(variant, seed, config, cpu as u8, Arc::clone(&lib));
+            Box::new(cpu_stream) as BoxedStream
+        })
         .collect();
     Interleaver::new(variant.label(), streams, seed)
 }

@@ -469,6 +469,130 @@ mod speculative_properties {
     }
 }
 
+/// Job lists that read the same source more than once.  The engine
+/// generates a synthetic source that several jobs of a batch read only once
+/// and replays it to each of them; whatever the execution mode, every job
+/// must still get exactly the bytes it gets when it runs alone.
+mod shared_source_properties {
+    use super::*;
+    use metrics::MetricsConfig;
+    use proptest::prelude::*;
+
+    /// Accesses in the recorded binary trace file.
+    const FILE_ACCESSES: usize = 2_000;
+
+    /// One drawn job: its source (two synthetic sources, then the file), its
+    /// prefetcher, its access budget and whether it runs the timing model.
+    type Choice = (usize, usize, usize, bool);
+
+    fn build_jobs(seed: u64, apps: (usize, usize), choices: &[Choice], file: &str) -> Vec<SimJob> {
+        let generator = GeneratorConfig::default().with_cpus(CPUS);
+        let synthetic = |app: usize, seed: u64| {
+            TraceSource::synthetic(Application::ALL[app], generator.clone(), seed)
+        };
+        choices
+            .iter()
+            .map(|&(source, prefetcher, accesses, timed)| {
+                let source = match source {
+                    0 => synthetic(apps.0, seed),
+                    1 => synthetic(apps.1, seed + 1),
+                    _ => TraceSource::binary_file(file),
+                };
+                let prefetcher = match prefetcher {
+                    0 => PrefetcherSpec::null(),
+                    1 => PrefetcherSpec::sms_paper_default(),
+                    _ => PrefetcherSpec::ghb(&GhbConfig::paper_small()),
+                };
+                let job = SimJob::new(memsim::SimJob {
+                    source,
+                    cpus: CPUS,
+                    hierarchy: HierarchyConfig::scaled(),
+                    prefetcher,
+                    accesses,
+                });
+                if timed {
+                    job.with_timing(TimingConfig::table1(), 4)
+                } else {
+                    job
+                }
+            })
+            .collect()
+    }
+
+    /// Synthetic sources that two or more of `choices` read.
+    fn shared_sources(choices: &[Choice]) -> u64 {
+        (0..2)
+            .filter(|&source| choices.iter().filter(|c| c.0 == source).count() >= 2)
+            .count() as u64
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn repeated_sources_reproduce_each_jobs_solo_bytes(
+            seed in 0u64..1_000_000,
+            apps in (0usize..11, 0usize..11),
+            choices in proptest::collection::vec(
+                (0usize..3, 0usize..3, 200usize..2_500, proptest::bool::weighted(0.25)),
+                2..9,
+            ),
+            segment_size in 97usize..1_500,
+        ) {
+            let path = std::env::temp_dir().join(format!(
+                "sms-shared-sources-{}.trace",
+                std::process::id()
+            ));
+            let recorded: Vec<_> = Application::Ocean
+                .stream(seed, &GeneratorConfig::default().with_cpus(CPUS))
+                .take(FILE_ACCESSES)
+                .collect();
+            trace::io::write_binary(std::fs::File::create(&path).expect("temp file"), &recorded)
+                .expect("write trace");
+            let jobs = build_jobs(seed, apps, &choices, &path.to_string_lossy());
+
+            let solo: Vec<_> = jobs
+                .iter()
+                .enumerate()
+                .map(|(i, job)| engine::run_job(i, job, Registry::builtin()).expect("job runs alone"))
+                .collect();
+            let solo = serde_json::to_string(&solo).expect("serialize solo results");
+
+            for (mode, config) in [
+                ("serial", EngineConfig::serial()),
+                ("job-parallel", EngineConfig::with_workers(3)),
+                ("segmented", EngineConfig::with_workers(2).with_segment_size(segment_size)),
+                ("segmented x2", EngineConfig::with_workers(6).with_segment_size(segment_size)),
+            ] {
+                let (results, engine_metrics) = engine::run_jobs_metered(
+                    &jobs,
+                    &config,
+                    Registry::builtin(),
+                    &MetricsConfig::disabled(),
+                )
+                .expect("jobs run");
+                let got = serde_json::to_string(&results).expect("serialize");
+                prop_assert_eq!(&got, &solo, "{} diverged from solo runs", mode);
+                prop_assert_eq!(engine_metrics.shared_generations, shared_sources(&choices));
+            }
+
+            let mut streamed = Vec::new();
+            engine::run_jobs_streamed(
+                &jobs,
+                &EngineConfig::with_workers(2),
+                Registry::builtin(),
+                &MetricsConfig::disabled(),
+                &engine::CancelToken::new(),
+                &mut |result, _| streamed.push(result),
+            )
+            .expect("streamed run");
+            let got = serde_json::to_string(&streamed).expect("serialize");
+            prop_assert_eq!(&got, &solo, "streamed run diverged from solo runs");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+}
+
 #[test]
 fn file_backed_trace_source_replays_bit_identically() {
     // Record the exact stream a synthetic job consumes, replay it from a
