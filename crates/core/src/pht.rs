@@ -15,7 +15,7 @@
 //! eviction-order tests below and the workspace golden hashes pin.
 
 use crate::pattern::SpatialPattern;
-use memsim::FastMap;
+use memsim::{ConfigError, FastMap};
 use serde::{Deserialize, Serialize};
 
 /// Storage capacity of the PHT.
@@ -34,6 +34,38 @@ pub enum PhtCapacity {
 }
 
 impl PhtCapacity {
+    /// Checks that a bounded capacity has positive entry and way counts and
+    /// an entry count divisible by the associativity.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let PhtCapacity::Bounded {
+            entries,
+            associativity,
+        } = *self
+        else {
+            return Ok(());
+        };
+        if entries == 0 {
+            return Err(ConfigError::new("entries", "PHT capacity must be positive"));
+        }
+        if associativity == 0 {
+            return Err(ConfigError::new(
+                "associativity",
+                "PHT capacity must be positive",
+            ));
+        }
+        if entries % associativity != 0 {
+            return Err(ConfigError::new(
+                "entries",
+                format!("{entries} entries must be a multiple of associativity {associativity}"),
+            ));
+        }
+        Ok(())
+    }
+
     /// The paper's practical configuration: 16 k entries, 16-way.
     pub fn paper_default() -> Self {
         PhtCapacity::Bounded {
@@ -86,23 +118,17 @@ impl PatternHistoryTable {
     ///
     /// # Panics
     ///
-    /// Panics if a bounded capacity has zero entries, zero associativity, or
-    /// an entry count not divisible by the associativity.
+    /// Panics if the capacity fails [`PhtCapacity::validate`].
     pub fn new(capacity: PhtCapacity) -> Self {
+        if let Err(e) = capacity.validate() {
+            panic!("{e}");
+        }
         let storage = match capacity {
             PhtCapacity::Unbounded => Storage::Unbounded(FastMap::default()),
             PhtCapacity::Bounded {
                 entries,
                 associativity,
             } => {
-                assert!(
-                    entries > 0 && associativity > 0,
-                    "PHT capacity must be positive"
-                );
-                assert!(
-                    entries % associativity == 0,
-                    "entries must be a multiple of associativity"
-                );
                 let num_sets = (entries / associativity).max(1);
                 let slots = num_sets * associativity;
                 Storage::Bounded {

@@ -5,6 +5,7 @@ use crate::index::IndexScheme;
 use crate::pht::{PatternHistoryTable, PhtCapacity};
 use crate::region::RegionConfig;
 use crate::streamer::{PredictionRegisterFile, StreamerConfig};
+use memsim::ConfigError;
 use serde::{Deserialize, Serialize};
 use trace::Pc;
 
@@ -57,6 +58,21 @@ impl SmsConfig {
     pub fn with_index_scheme(mut self, scheme: IndexScheme) -> Self {
         self.index_scheme = scheme;
         self
+    }
+
+    /// Checks every geometry the predictor's structures rely on: the region
+    /// ([`RegionConfig::validate`]), the PHT capacity
+    /// ([`PhtCapacity::validate`]) and the register file
+    /// ([`StreamerConfig::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] whose field is prefixed with the sub-configuration
+    /// (`region.`, `pht.` or `streamer.`).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.region.validate().map_err(|e| e.within("region"))?;
+        self.pht.validate().map_err(|e| e.within("pht"))?;
+        self.streamer.validate().map_err(|e| e.within("streamer"))
     }
 
     /// Returns a copy with a different region geometry.

@@ -1,5 +1,7 @@
 //! Spatial region geometry.
 
+use crate::pattern::SpatialPattern;
+use memsim::ConfigError;
 use serde::{Deserialize, Serialize};
 
 /// Geometry of spatial regions: the region size and the cache block size it
@@ -20,25 +22,70 @@ impl RegionConfig {
     ///
     /// # Panics
     ///
-    /// Panics if either size is not a power of two, or the region does not
-    /// hold at least two blocks.
+    /// Panics with the [`ConfigError`] message if the geometry fails
+    /// [`validate`](Self::validate).
     pub fn new(region_bytes: u64, block_bytes: u64) -> Self {
-        assert!(
-            region_bytes.is_power_of_two(),
-            "region size must be a power of two"
-        );
-        assert!(
-            block_bytes.is_power_of_two(),
-            "block size must be a power of two"
-        );
-        assert!(
-            region_bytes >= 2 * block_bytes,
-            "a region must span at least two blocks"
-        );
-        Self {
+        let config = Self {
             region_bytes,
             block_bytes,
+        };
+        if let Err(e) = config.validate() {
+            panic!("{e}");
         }
+        config
+    }
+
+    /// Checks the geometry: both sizes are powers of two, and a region
+    /// holds at least two and at most [`SpatialPattern::MAX_BLOCKS`] blocks.
+    ///
+    /// The derived `Deserialize` does not run this check, so anything that
+    /// decodes a region from untrusted input must call it before building a
+    /// predictor.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !self.region_bytes.is_power_of_two() {
+            return Err(ConfigError::new(
+                "region_bytes",
+                format!(
+                    "region size must be a power of two (got {})",
+                    self.region_bytes
+                ),
+            ));
+        }
+        if !self.block_bytes.is_power_of_two() {
+            return Err(ConfigError::new(
+                "block_bytes",
+                format!(
+                    "block size must be a power of two (got {})",
+                    self.block_bytes
+                ),
+            ));
+        }
+        let blocks = self.region_bytes / self.block_bytes;
+        if blocks < 2 {
+            return Err(ConfigError::new(
+                "region_bytes",
+                format!(
+                    "a region must span at least two blocks ({} B regions of {} B blocks)",
+                    self.region_bytes, self.block_bytes
+                ),
+            ));
+        }
+        if blocks > u64::from(SpatialPattern::MAX_BLOCKS) {
+            return Err(ConfigError::new(
+                "region_bytes",
+                format!(
+                    "{} B regions of {} B blocks span {blocks} blocks; a pattern holds at most {}",
+                    self.region_bytes,
+                    self.block_bytes,
+                    SpatialPattern::MAX_BLOCKS
+                ),
+            ));
+        }
+        Ok(())
     }
 
     /// The paper's default: 2 kB regions of 64 B blocks.
@@ -109,6 +156,19 @@ mod tests {
         let r = RegionConfig::new(8192, 64);
         assert_eq!(r.blocks_per_region(), 128);
         assert_eq!(r.region_offset(8191), 127);
+    }
+
+    #[test]
+    fn oversized_region_is_a_structured_error() {
+        let err = RegionConfig {
+            region_bytes: 16384,
+            block_bytes: 64,
+        }
+        .validate()
+        .unwrap_err();
+        assert_eq!(err.field, "region_bytes");
+        assert!(err.message.contains("256 blocks"), "{err}");
+        assert_eq!(RegionConfig::new(8192, 64).validate(), Ok(()));
     }
 
     #[test]

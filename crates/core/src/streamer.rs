@@ -5,9 +5,20 @@
 //! engine walks the active registers round-robin, issuing one block request
 //! at a time and clearing the corresponding pattern bit; a register is freed
 //! once its pattern is exhausted (Section 3.2).
+//!
+//! The streamer drains up to 4 requests on every demand access, so the walk
+//! is on the simulator's per-access path.  The file keeps an occupancy
+//! bitmask of its live registers beside them: an idle file is one mask test,
+//! and the next live register at or after the round-robin cursor is a
+//! `trailing_zeros` scan rather than a modulo step per empty register.  Two
+//! invariants keep the mask exact: a bit is set exactly when its register is
+//! live, and a live register always holds a non-empty pattern (empty
+//! predictions are never allocated, and a register is freed the moment it
+//! issues its last block).
 
 use crate::pattern::SpatialPattern;
 use crate::region::RegionConfig;
+use memsim::ConfigError;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the prediction-register file.
@@ -22,6 +33,22 @@ pub struct StreamerConfig {
 }
 
 impl StreamerConfig {
+    /// Checks that the file has at least one register (any count above
+    /// that is allowed; the occupancy mask grows with it).
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming `registers`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.registers == 0 {
+            return Err(ConfigError::new(
+                "registers",
+                "need at least one prediction register",
+            ));
+        }
+        Ok(())
+    }
+
     /// The configuration used for the paper's practical SMS: 16 registers,
     /// draining up to 4 stream requests per demand access.
     pub fn paper_default() -> Self {
@@ -51,6 +78,10 @@ pub struct PredictionRegisterFile {
     region: RegionConfig,
     config: StreamerConfig,
     registers: Vec<Option<PredictionRegister>>,
+    /// Occupancy bitmask: bit `i` of word `i / 64` is set exactly when
+    /// register `i` is live.  A live register always holds a non-empty
+    /// pattern.
+    live: Vec<u64>,
     cursor: usize,
     tick: u64,
     dropped_allocations: u64,
@@ -63,18 +94,56 @@ impl PredictionRegisterFile {
     ///
     /// Panics if the configuration has zero registers.
     pub fn new(region: RegionConfig, config: StreamerConfig) -> Self {
-        assert!(
-            config.registers > 0,
-            "need at least one prediction register"
-        );
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         Self {
             region,
             config,
             registers: vec![None; config.registers],
+            live: vec![0; config.registers.div_ceil(64)],
             cursor: 0,
             tick: 0,
             dropped_allocations: 0,
         }
+    }
+
+    fn is_live(&self, index: usize) -> bool {
+        self.live[index / 64] & (1 << (index % 64)) != 0
+    }
+
+    fn set_live(&mut self, index: usize, register: PredictionRegister) {
+        self.registers[index] = Some(register);
+        self.live[index / 64] |= 1 << (index % 64);
+    }
+
+    fn free(&mut self, index: usize) {
+        self.registers[index] = None;
+        self.live[index / 64] &= !(1 << (index % 64));
+    }
+
+    /// Iterates over the indices of the live registers in ascending order.
+    fn live_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        self.live
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| set_bits(word).map(move |bit| w * 64 + bit))
+    }
+
+    /// The first live register at or after `from`, wrapping around the
+    /// file; `None` when no register is live.
+    fn next_live(&self, from: usize) -> Option<usize> {
+        let word = from / 64;
+        let above = self.live[word] & (u64::MAX << (from % 64));
+        if above != 0 {
+            return Some(word * 64 + above.trailing_zeros() as usize);
+        }
+        // Later words, then wrap to the start; the wrap may revisit `word`,
+        // whose bits at or above `from` are already known to be clear.
+        (word + 1..self.live.len())
+            .chain(0..=word)
+            .find(|&w| self.live[w] != 0)
+            .map(|w| w * 64 + self.live[w].trailing_zeros() as usize)
     }
 
     /// Allocates a register for a newly-predicted generation.
@@ -90,10 +159,9 @@ impl PredictionRegisterFile {
         }
         // Reuse an existing register for the same region, or a free one.
         let slot = self
-            .registers
-            .iter()
-            .position(|r| r.as_ref().is_some_and(|r| r.region_base == region_base))
-            .or_else(|| self.registers.iter().position(|r| r.is_none()));
+            .live_indices()
+            .find(|&i| self.registers[i].as_ref().map(|r| r.region_base) == Some(region_base))
+            .or_else(|| (0..self.registers.len()).find(|&i| !self.is_live(i)));
         let slot = match slot {
             Some(s) => s,
             None => {
@@ -106,11 +174,14 @@ impl PredictionRegisterFile {
                     .unwrap_or(0)
             }
         };
-        self.registers[slot] = Some(PredictionRegister {
-            region_base,
-            pattern,
-            allocated_at: self.tick,
-        });
+        self.set_live(
+            slot,
+            PredictionRegister {
+                region_base,
+                pattern,
+                allocated_at: self.tick,
+            },
+        );
     }
 
     /// Cancels any pending stream requests for the region containing
@@ -118,9 +189,12 @@ impl PredictionRegisterFile {
     /// finished).
     pub fn cancel_region(&mut self, block_addr: u64) {
         let base = self.region.region_base(block_addr);
-        for reg in self.registers.iter_mut() {
-            if reg.as_ref().is_some_and(|r| r.region_base == base) {
-                *reg = None;
+        for w in 0..self.live.len() {
+            for bit in set_bits(self.live[w]) {
+                let i = w * 64 + bit;
+                if self.registers[i].as_ref().map(|r| r.region_base) == Some(base) {
+                    self.free(i);
+                }
             }
         }
     }
@@ -148,52 +222,53 @@ impl PredictionRegisterFile {
     /// Issues up to `max_requests` stream requests, appending the block
     /// addresses to `out` in the same round-robin order
     /// [`drain_up_to`](Self::drain_up_to) returns them.
+    ///
+    /// Each request comes from the next live register at or after the
+    /// cursor, found with a `trailing_zeros` scan of the occupancy mask; the
+    /// cursor then moves just past that register.  With no live register the
+    /// call returns at once and leaves the cursor where it was.
     pub fn drain_into(&mut self, max_requests: usize, out: &mut Vec<u64>) {
-        if self.registers.iter().all(|r| r.is_none()) {
-            return;
-        }
-        let issued_before = out.len();
         let n = self.registers.len();
-        let mut scanned_without_progress = 0;
-        while out.len() - issued_before < max_requests && scanned_without_progress < n {
-            let idx = self.cursor;
-            self.cursor = (self.cursor + 1) % n;
-            let next_offset = match self.registers[idx].as_ref() {
-                Some(reg) => reg.pattern.first_set(),
-                None => {
-                    scanned_without_progress += 1;
-                    continue;
-                }
+        for _ in 0..max_requests {
+            let Some(idx) = self.next_live(self.cursor) else {
+                return;
             };
-            match next_offset {
-                Some(offset) => {
-                    let reg = self.registers[idx]
-                        .as_mut()
-                        .expect("register checked above");
-                    reg.pattern.clear(offset);
-                    out.push(self.region.block_at(reg.region_base, offset));
-                    if reg.pattern.is_empty() {
-                        self.registers[idx] = None;
-                    }
-                    scanned_without_progress = 0;
-                }
-                None => {
-                    self.registers[idx] = None;
-                    scanned_without_progress += 1;
-                }
+            self.cursor = if idx + 1 == n { 0 } else { idx + 1 };
+            let reg = self.registers[idx]
+                .as_mut()
+                .expect("the occupancy mask marks only live registers");
+            let offset = reg
+                .pattern
+                .first_set()
+                .expect("a live register holds a non-empty pattern");
+            reg.pattern.clear(offset);
+            out.push(self.region.block_at(reg.region_base, offset));
+            if reg.pattern.is_empty() {
+                self.free(idx);
             }
         }
     }
 
     /// Number of registers currently holding un-issued predictions.
     pub fn active_registers(&self) -> usize {
-        self.registers.iter().filter(|r| r.is_some()).count()
+        self.live.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Number of allocations that displaced a still-active register.
     pub fn dropped_allocations(&self) -> u64 {
         self.dropped_allocations
     }
+}
+
+/// The positions of the set bits of `word`, lowest first.
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Property-based equivalence of the struct-of-arrays AGT and PHT against
-//! reference map-backed implementations.
+//! reference map-backed implementations, and of the bitmask-scanned
+//! prediction-register file against the modulo-stepping scan it replaced.
 //!
 //! The hot-path storage rework (flat SoA CAMs for the bounded AGT tables,
 //! SoA slot columns for the bounded PHT) is meant to be behaviorally
@@ -15,6 +16,7 @@ use sms::agt::{ActiveGenerationTable, AgtConfig, RecordOutcome, TrainedPattern};
 use sms::pattern::SpatialPattern;
 use sms::pht::{PatternHistoryTable, PhtCapacity};
 use sms::region::RegionConfig;
+use sms::streamer::{PredictionRegisterFile, StreamerConfig};
 use std::collections::HashMap;
 use trace::Pc;
 
@@ -292,6 +294,184 @@ fn check_pht_equivalence(entries: usize, associativity: usize, ops: &[(u8, bool,
     }
 }
 
+// ---------------------------------------------------------------------------
+// Reference prediction-register file: the modulo-stepping round-robin scan,
+// verbatim semantics.
+// ---------------------------------------------------------------------------
+
+#[derive(Clone)]
+struct RefRegister {
+    region_base: u64,
+    pattern: SpatialPattern,
+    allocated_at: u64,
+}
+
+struct RefRegisterFile {
+    region: RegionConfig,
+    registers: Vec<Option<RefRegister>>,
+    cursor: usize,
+    tick: u64,
+    dropped_allocations: u64,
+}
+
+impl RefRegisterFile {
+    fn new(region: RegionConfig, registers: usize) -> Self {
+        Self {
+            region,
+            registers: vec![None; registers],
+            cursor: 0,
+            tick: 0,
+            dropped_allocations: 0,
+        }
+    }
+
+    fn allocate(&mut self, region_base: u64, pattern: SpatialPattern) {
+        self.tick += 1;
+        if pattern.is_empty() {
+            return;
+        }
+        let slot = self
+            .registers
+            .iter()
+            .position(|r| r.as_ref().is_some_and(|r| r.region_base == region_base))
+            .or_else(|| self.registers.iter().position(|r| r.is_none()));
+        let slot = match slot {
+            Some(s) => s,
+            None => {
+                self.dropped_allocations += 1;
+                self.registers
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, r)| r.as_ref().map(|r| r.allocated_at).unwrap_or(0))
+                    .map(|(i, _)| i)
+                    .unwrap_or(0)
+            }
+        };
+        self.registers[slot] = Some(RefRegister {
+            region_base,
+            pattern,
+            allocated_at: self.tick,
+        });
+    }
+
+    fn cancel_region(&mut self, block_addr: u64) {
+        let base = self.region.region_base(block_addr);
+        for reg in self.registers.iter_mut() {
+            if reg.as_ref().is_some_and(|r| r.region_base == base) {
+                *reg = None;
+            }
+        }
+    }
+
+    fn drain_up_to(&mut self, max_requests: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        if self.registers.iter().all(|r| r.is_none()) {
+            return out;
+        }
+        let n = self.registers.len();
+        let mut scanned_without_progress = 0;
+        while out.len() < max_requests && scanned_without_progress < n {
+            let idx = self.cursor;
+            self.cursor = (self.cursor + 1) % n;
+            let next_offset = match self.registers[idx].as_ref() {
+                Some(reg) => reg.pattern.first_set(),
+                None => {
+                    scanned_without_progress += 1;
+                    continue;
+                }
+            };
+            match next_offset {
+                Some(offset) => {
+                    let reg = self.registers[idx]
+                        .as_mut()
+                        .expect("register checked above");
+                    reg.pattern.clear(offset);
+                    out.push(self.region.block_at(reg.region_base, offset));
+                    if reg.pattern.is_empty() {
+                        self.registers[idx] = None;
+                    }
+                    scanned_without_progress = 0;
+                }
+                None => {
+                    self.registers[idx] = None;
+                    scanned_without_progress += 1;
+                }
+            }
+        }
+        out
+    }
+
+    fn active_registers(&self) -> usize {
+        self.registers.iter().filter(|r| r.is_some()).count()
+    }
+
+    fn queued(&self) -> usize {
+        self.registers
+            .iter()
+            .flatten()
+            .map(|r| r.pattern.count() as usize)
+            .sum()
+    }
+}
+
+/// One register-file operation: `(op, region, bits, budget)`.  Op 0–1
+/// allocates `bits` (sometimes empty) for one of `regions` regions, op 2
+/// cancels a region through a block inside it, and ops 3–5 drain with a
+/// budget drawn from 0 up to beyond everything queued (`budget == 255`
+/// drains `queued + 3`).
+fn check_register_file_equivalence(registers: usize, regions: u64, ops: &[(u8, u8, u32, u8)]) {
+    let region = RegionConfig::paper_default();
+    let mut new = PredictionRegisterFile::new(
+        region,
+        StreamerConfig {
+            registers,
+            requests_per_access: 4,
+        },
+    );
+    let mut old = RefRegisterFile::new(region, registers);
+    for (step, &(op, which, bits, budget)) in ops.iter().enumerate() {
+        let base = 0x10_0000 + (u64::from(which) % regions) * region.region_bytes;
+        match op {
+            0 | 1 => {
+                let offsets: Vec<u32> = (0..32).filter(|o| bits & (1 << o) != 0).collect();
+                let pattern = SpatialPattern::from_offsets(32, &offsets);
+                new.allocate(base, pattern);
+                old.allocate(base, pattern);
+            }
+            2 => {
+                let block = base + u64::from(bits % 32) * region.block_bytes;
+                new.cancel_region(block);
+                old.cancel_region(block);
+            }
+            _ => {
+                let budget = if budget == 255 {
+                    old.queued() + 3
+                } else {
+                    usize::from(budget % 12)
+                };
+                assert_eq!(
+                    new.drain_up_to(budget),
+                    old.drain_up_to(budget),
+                    "step {step}: drain {budget} from {registers} registers"
+                );
+            }
+        }
+        assert_eq!(
+            new.active_registers(),
+            old.active_registers(),
+            "step {step}"
+        );
+        assert_eq!(
+            new.dropped_allocations(),
+            old.dropped_allocations,
+            "step {step}"
+        );
+    }
+    // Everything left drains in the same order.
+    let rest = old.queued() + 1;
+    assert_eq!(new.drain_up_to(rest), old.drain_up_to(rest));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -331,5 +511,29 @@ proptest! {
         // 4 sets x 2 ways and 2 sets x 4 ways, both under heavy conflict.
         check_pht_equivalence(8, 2, &ops);
         check_pht_equivalence(8, 4, &ops);
+    }
+
+    #[test]
+    fn bitmask_register_scan_matches_reference(
+        ops in proptest::collection::vec(
+            (0u8..6, 0u8..=255, 0u32..u32::MAX, 0u8..=255),
+            0..300,
+        ),
+        registers in 1usize..20,
+    ) {
+        check_register_file_equivalence(registers, 24, &ops);
+    }
+
+    #[test]
+    fn bitmask_register_scan_matches_reference_across_mask_words(
+        ops in proptest::collection::vec(
+            (0u8..6, 0u8..=255, 0u32..u32::MAX, 0u8..=255),
+            0..600,
+        ),
+        registers in 60usize..140,
+    ) {
+        // More than 64 registers and more live regions than one mask word
+        // holds: the wrap-around scan crosses word boundaries.
+        check_register_file_equivalence(registers, 250, &ops);
     }
 }

@@ -18,7 +18,7 @@ use crate::segment::{run_prepared_segmented, SegmentPlan};
 use crate::share::TracePlan;
 use crate::spec::PrefetcherSpec;
 use crate::telemetry::{EngineMetrics, JobMetrics, WorkerMetrics};
-use memsim::{MultiCpuSystem, RunSummary};
+use memsim::{ConfigError, MultiCpuSystem, RunSummary};
 use metrics::{MetricsConfig, Stopwatch};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -56,6 +56,36 @@ impl SimJob {
     /// A plain cache-simulation job (no timing model).
     pub fn new(sim: memsim::SimJob<PrefetcherSpec>) -> Self {
         Self { sim, timing: None }
+    }
+
+    /// Checks the job's own geometry before anything is built from it: the
+    /// processor count (1 to 256, the range of a `u8` CPU id), both cache
+    /// levels ([`HierarchyConfig::validate`](memsim::HierarchyConfig::validate))
+    /// and, for timing jobs, a positive segment count.  Prefetcher
+    /// parameters are checked by their plugin when it builds them.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the offending field as it appears under
+    /// `sim` or `timing` in a spec file.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if !(1..=256).contains(&self.sim.cpus) {
+            return Err(ConfigError::new(
+                "sim.cpus",
+                format!("need 1 to 256 processors (got {})", self.sim.cpus),
+            ));
+        }
+        self.sim
+            .hierarchy
+            .validate()
+            .map_err(|e| e.within("sim.hierarchy"))?;
+        if self.timing.is_some_and(|t| t.segments == 0) {
+            return Err(ConfigError::new(
+                "timing.segments",
+                "need at least one segment",
+            ));
+        }
+        Ok(())
     }
 
     /// Attaches a timing-model evaluation to the job.
@@ -240,10 +270,17 @@ pub struct JobResult {
     pub warnings: Vec<JobWarning>,
 }
 
-/// An error raised while preparing a job for execution (resolving its
-/// prefetcher spec or opening its trace source).
+/// An error raised while preparing a job for execution (checking its
+/// geometry, resolving its prefetcher spec or opening its trace source).
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
+    /// The job's own configuration is invalid ([`SimJob::validate`]).
+    Config {
+        /// Index of the failing job in the submitted list.
+        job_index: usize,
+        /// The offending field and what is wrong with it.
+        error: ConfigError,
+    },
     /// The job's prefetcher spec failed to resolve or build.
     Plugin {
         /// Index of the failing job in the submitted list.
@@ -276,6 +313,9 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            EngineError::Config { job_index, error } => {
+                write!(f, "job {job_index}: invalid configuration: {error}")
+            }
             EngineError::Plugin { job_index, error } => {
                 write!(f, "job {job_index}: {error}")
             }
@@ -481,15 +521,21 @@ pub(crate) fn trace_error(index: usize, job: &SimJob, message: String) -> Engine
     }
 }
 
-/// Builds the job's prefetcher, then takes the outcome of opening its trace:
-/// a job whose plugin and trace both fail reports the plugin error, however
-/// the trace was opened.
+/// Checks the job's geometry, builds its prefetcher, then takes the outcome
+/// of opening its trace: a job fails with the first of these errors, in
+/// that order, however the trace was opened.  Nothing is built from a job
+/// whose geometry is invalid, so bad geometry is a structured error rather
+/// than a panic in a constructor.
 pub(crate) fn prepare_job(
     index: usize,
     job: &SimJob,
     registry: &Registry,
     stream: io::Result<BoxedStream>,
 ) -> Result<(BuiltPrefetcher, BoxedStream), EngineError> {
+    job.validate().map_err(|error| EngineError::Config {
+        job_index: index,
+        error,
+    })?;
     let prefetcher = registry
         .build(&job.sim.prefetcher, job.sim.cpus)
         .map_err(|error| EngineError::Plugin {
@@ -1180,6 +1226,126 @@ mod tests {
             match err {
                 EngineError::Plugin { job_index, .. } => assert_eq!(job_index, 1),
                 other => panic!("expected Plugin error, got {other:?}"),
+            }
+        }
+    }
+
+    /// The four hostile geometries that used to panic (or, for a 3-set
+    /// cache, silently run with a set mask that skips sets), as spec-file
+    /// jobs: each with the field its error must name.
+    fn hostile_geometry_jobs() -> Vec<(SimJob, &'static str)> {
+        let with_hierarchy = |l1: memsim::CacheConfig| {
+            let mut j = job(Application::OltpDb2, PrefetcherSpec::null());
+            j.sim.hierarchy.l1 = l1;
+            j
+        };
+        let with_sms = |config: SmsConfig| job(Application::OltpDb2, PrefetcherSpec::sms(&config));
+        let mut no_registers = SmsConfig::paper_default();
+        no_registers.streamer.registers = 0;
+        let mut huge_region = SmsConfig::paper_default();
+        huge_region.region.region_bytes = 16384;
+        vec![
+            (
+                with_hierarchy(memsim::CacheConfig {
+                    capacity_bytes: 32 * 1024,
+                    associativity: 2,
+                    block_bytes: 0,
+                }),
+                "sim.hierarchy.l1.block_bytes",
+            ),
+            (
+                with_hierarchy(memsim::CacheConfig {
+                    capacity_bytes: 3 * 2 * 64,
+                    associativity: 2,
+                    block_bytes: 64,
+                }),
+                "sim.hierarchy.l1.capacity_bytes",
+            ),
+            (with_sms(no_registers), "streamer.registers"),
+            (with_sms(huge_region), "region.region_bytes"),
+        ]
+    }
+
+    #[test]
+    fn hostile_geometry_is_a_structured_error_never_a_panic() {
+        for (hostile, field) in hostile_geometry_jobs() {
+            // Through the spec-file decoder, as `run --spec` and the server
+            // receive it: decoding succeeds, the run reports the field.
+            let text = serde_json::to_string(&JobList::new(vec![job_list().remove(0), hostile]))
+                .expect("serialize");
+            let list = JobList::from_json(&text).expect("well-formed spec");
+            for config in [
+                EngineConfig::serial(),
+                EngineConfig::with_workers(2),
+                EngineConfig::with_workers(2).with_segment_size(1_000),
+            ] {
+                let err = run_jobs_in(&list.jobs, &config, Registry::builtin())
+                    .expect_err("invalid geometry must fail its job");
+                let message = err.to_string();
+                assert!(message.starts_with("job 1: "), "{message}");
+                assert!(message.contains(field), "{field}: {message}");
+                match &err {
+                    EngineError::Config { job_index, error } => {
+                        assert_eq!(*job_index, 1);
+                        assert_eq!(error.field, field);
+                    }
+                    EngineError::Plugin {
+                        job_index,
+                        error: PluginError::BadParams { plugin, message },
+                    } => {
+                        assert_eq!(*job_index, 1);
+                        assert_eq!(plugin, "sms");
+                        assert!(message.starts_with(field), "{message}");
+                    }
+                    other => panic!("{field}: expected a structured error, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn other_plugins_check_their_region_geometry() {
+        let bad_region = sms::RegionConfig {
+            region_bytes: 3000,
+            block_bytes: 64,
+        };
+        let training = crate::spec::TrainingSpec {
+            trainer: sms::TrainerKind::LogicalSectored,
+            region: sms::RegionConfig::paper_default(),
+            index_scheme: sms::IndexScheme::PcOffset,
+            pht: sms::PhtCapacity::Unbounded,
+            l1_capacity_bytes: 2048,
+        };
+        let cases = [
+            (PrefetcherSpec::density_probe(&bad_region), "region_bytes"),
+            (
+                PrefetcherSpec::oracle_probe(&crate::spec::OracleProbeSpec {
+                    regions: vec![sms::RegionConfig::paper_default(), bad_region],
+                    read_only: true,
+                }),
+                "regions[1].region_bytes",
+            ),
+            (PrefetcherSpec::training(&training), "l1_capacity_bytes"),
+            (
+                PrefetcherSpec::training(&crate::spec::TrainingSpec {
+                    pht: sms::PhtCapacity::Bounded {
+                        entries: 10,
+                        associativity: 0,
+                    },
+                    ..training
+                }),
+                "pht.associativity",
+            ),
+        ];
+        for (spec, field) in cases {
+            let plugin = spec.plugin.clone();
+            match Registry::builtin().build(&spec, 2) {
+                Err(PluginError::BadParams { plugin: p, message }) => {
+                    assert_eq!(p, plugin);
+                    assert!(message.starts_with(field), "{field}: {message}");
+                }
+                Err(other) => panic!("{field}: expected BadParams, got {other:?}"),
+                Ok(_) => panic!("{field}: invalid geometry built"),
             }
         }
     }

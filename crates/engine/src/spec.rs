@@ -19,7 +19,7 @@ use crate::plugin::{
     Probe, ProbeReport, TrainingReport,
 };
 use ghb::{GhbConfig, GhbPrefetcher};
-use memsim::{NullPrefetcher, PrefetchRequest, Prefetcher, SystemOutcome};
+use memsim::{ConfigError, NullPrefetcher, PrefetchRequest, Prefetcher, SystemOutcome};
 use serde::{Deserialize, Serialize};
 use sms::{
     DensityObserver, IndexScheme, OracleObserver, PhtCapacity, RegionConfig, SmsConfig,
@@ -102,6 +102,31 @@ pub struct TrainingSpec {
     pub pht: PhtCapacity,
     /// Capacity of the L1 the sectored tag arrays shadow.
     pub l1_capacity_bytes: u64,
+}
+
+impl TrainingSpec {
+    /// Checks the region and PHT geometry and, for the sectored trainers,
+    /// that the shadowed L1 holds at least one sector per way of their
+    /// 2-way tag arrays.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.region.validate().map_err(|e| e.within("region"))?;
+        self.pht.validate().map_err(|e| e.within("pht"))?;
+        let sectored = !matches!(self.trainer, TrainerKind::Agt);
+        if sectored && self.l1_capacity_bytes / self.region.region_bytes < 2 {
+            return Err(ConfigError::new(
+                "l1_capacity_bytes",
+                format!(
+                    "a {} B L1 holds fewer than two {} B sectors",
+                    self.l1_capacity_bytes, self.region.region_bytes
+                ),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Configuration of a bank of [`OracleObserver`]s measured in one run
@@ -226,6 +251,16 @@ impl Probe for MultiOracle {
 // Built-in plugins
 // ---------------------------------------------------------------------------
 
+/// Maps a decoded parameter tree's failed geometry check to
+/// [`PluginError::BadParams`], so bad geometry is reported (naming the
+/// field) instead of panicking inside a constructor.
+fn check_params(plugin: &str, checked: Result<(), ConfigError>) -> Result<(), PluginError> {
+    checked.map_err(|e| PluginError::BadParams {
+        plugin: plugin.to_string(),
+        message: e.to_string(),
+    })
+}
+
 struct NullPlugin;
 
 impl PrefetcherPlugin for NullPlugin {
@@ -263,6 +298,7 @@ impl PrefetcherPlugin for SmsPlugin {
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
         let config: SmsConfig = decode_params(self.name(), params)?;
+        check_params(self.name(), config.validate())?;
         Ok(BuiltPrefetcher::new(SmsPrefetcher::new(num_cpus, &config)))
     }
 }
@@ -305,6 +341,7 @@ impl PrefetcherPlugin for TrainingPlugin {
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
         let spec: TrainingSpec = decode_params(self.name(), params)?;
+        check_params(self.name(), spec.validate())?;
         Ok(BuiltPrefetcher::new(TrainingPrefetcher::new(
             num_cpus,
             spec.trainer,
@@ -333,6 +370,7 @@ impl PrefetcherPlugin for DensityProbePlugin {
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
         let region: RegionConfig = decode_params(self.name(), params)?;
+        check_params(self.name(), region.validate())?;
         Ok(BuiltPrefetcher::new(DensityObserver::new(num_cpus, region)))
     }
 }
@@ -354,6 +392,14 @@ impl PrefetcherPlugin for OracleProbePlugin {
         num_cpus: usize,
     ) -> Result<BuiltPrefetcher, PluginError> {
         let spec: OracleProbeSpec = decode_params(self.name(), params)?;
+        for (i, region) in spec.regions.iter().enumerate() {
+            check_params(
+                self.name(),
+                region
+                    .validate()
+                    .map_err(|e| e.within(&format!("regions[{i}]"))),
+            )?;
+        }
         Ok(BuiltPrefetcher::new(MultiOracle {
             oracles: spec
                 .regions

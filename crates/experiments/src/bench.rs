@@ -6,9 +6,7 @@
 //! **speculative** (the segment pipeline with run-ahead speculation, every
 //! segment verified against the authoritative state before commit) —
 //! measures per-figure throughput and speedup with the engine's own
-//! telemetry,
-//! measures the batched stream-request hot path against the kept
-//! pre-batching driver loop, measures the **served** path (each figure's
+//! telemetry, measures the **served** path (each figure's
 //! job list submitted to a local resident job server over its unix-domain
 //! socket — a cold round trip that prices the protocol + scheduling
 //! overhead, then best-of-N cache-hit replays that price the
@@ -29,13 +27,9 @@
 
 use crate::catalog::{figure_jobs, job_bearing_experiments};
 use crate::common::ExperimentConfig;
-use engine::{
-    run_jobs_metered, run_jobs_observed, EngineConfig, JobList, JobResult, PrefetcherSpec, Registry,
-};
-use memsim::MultiCpuSystem;
+use engine::{run_jobs_metered, run_jobs_observed, EngineConfig, JobList, JobResult, Registry};
 use metrics::{per_sec, MetricsConfig, MetricsReport, Stopwatch};
 use serde::{Deserialize, Serialize};
-use trace::{Application, TraceSource};
 use tracelog::Trace;
 
 /// The [`MetricsReport`] kind tag of a serialized bench report.
@@ -196,29 +190,6 @@ pub struct FigureBench {
     pub served_cache_hit: bool,
 }
 
-/// The measured batched-vs-unbatched driver hot-path comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HotPathBench {
-    /// Stable name of the optimization being measured.
-    pub optimization: String,
-    /// Workload driven through both loops.
-    pub workload: String,
-    /// Demand accesses per measured pass.
-    pub accesses: u64,
-    /// Best-of-N wall-clock seconds of the pre-batching loop.
-    pub before_seconds: f64,
-    /// Best-of-N wall-clock seconds of the batched loop.
-    pub after_seconds: f64,
-    /// Accesses/second of the pre-batching loop.
-    pub before_accesses_per_sec: f64,
-    /// Accesses/second of the batched loop.
-    pub after_accesses_per_sec: f64,
-    /// `after_accesses_per_sec / before_accesses_per_sec`.
-    pub speedup: f64,
-    /// Whether both loops produced bit-identical summaries (must be `true`).
-    pub identical_results: bool,
-}
-
 /// Whole-suite aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BenchTotals {
@@ -271,8 +242,6 @@ pub struct BenchReport {
     pub figures: Vec<FigureBench>,
     /// Whole-suite aggregates.
     pub totals: BenchTotals,
-    /// The batched stream-request hot-path comparison.
-    pub hot_path: HotPathBench,
 }
 
 impl BenchReport {
@@ -412,13 +381,6 @@ impl BenchReport {
         }
         if !(self.totals.speedup.is_finite() && self.totals.speedup > 0.0) {
             return Err("bench totals have no speedup".to_string());
-        }
-        let hot = &self.hot_path;
-        if !(hot.before_accesses_per_sec > 0.0 && hot.after_accesses_per_sec > 0.0) {
-            return Err("hot-path comparison has no throughput".to_string());
-        }
-        if !hot.identical_results {
-            return Err("hot-path comparison changed simulated results".to_string());
         }
         Ok(())
     }
@@ -715,7 +677,6 @@ pub fn run_bench_observed(options: &BenchOptions, trace: &Trace) -> Result<Bench
         },
         figures: rows,
         totals,
-        hot_path: measure_hot_path(&config),
     })
 }
 
@@ -906,64 +867,6 @@ pub fn render_diff(diff: &BenchDiff) -> String {
     out
 }
 
-/// Measures the batched driver loop against the kept pre-batching loop on an
-/// SMS run over a scan-heavy workload (many stream requests, so the
-/// per-access allocation the batching removed is actually on the path).
-///
-/// Best-of-`PASSES` (currently 5) wall-clock per side; both sides must
-/// produce bit-identical summaries, recorded in
-/// [`identical_results`](HotPathBench::identical_results).
-fn measure_hot_path(config: &ExperimentConfig) -> HotPathBench {
-    const PASSES: usize = 5;
-    // Dense scientific generations stream many blocks per trigger, so the
-    // per-access request handling being measured is actually on the path.
-    // The access floor keeps the wall-clock interval long enough to measure
-    // even at the reduced CI scale.
-    let app = Application::Ocean;
-    let accesses = config.accesses.max(100_000);
-    let spec = PrefetcherSpec::sms_paper_default();
-    let source = TraceSource::synthetic(app, config.generator(), config.seed);
-    let registry = Registry::builtin();
-
-    let measure = |batched: bool| -> (f64, memsim::RunSummary) {
-        let mut best = f64::INFINITY;
-        let mut summary = None;
-        for _ in 0..PASSES {
-            let mut prefetcher = registry
-                .build(&spec, config.cpus)
-                .expect("built-in sms plugin");
-            let mut system = MultiCpuSystem::new(config.cpus, &config.hierarchy);
-            let mut stream = source.open().expect("synthetic sources cannot fail");
-            let watch = Stopwatch::started();
-            let s = if batched {
-                memsim::run(&mut system, &mut prefetcher, &mut stream, accesses)
-            } else {
-                memsim::run_unbatched(&mut system, &mut prefetcher, &mut stream, accesses)
-            };
-            best = best.min(watch.elapsed_seconds());
-            summary = Some(s);
-        }
-        (best, summary.expect("at least one pass"))
-    };
-
-    let (before_seconds, before_summary) = measure(false);
-    let (after_seconds, after_summary) = measure(true);
-    let accesses = after_summary.accesses;
-    let before_accesses_per_sec = per_sec(accesses, before_seconds);
-    let after_accesses_per_sec = per_sec(accesses, after_seconds);
-    HotPathBench {
-        optimization: "batched-stream-requests".to_string(),
-        workload: format!("sms/{app}"),
-        accesses,
-        before_seconds,
-        after_seconds,
-        before_accesses_per_sec,
-        after_accesses_per_sec,
-        speedup: ratio(before_seconds, after_seconds),
-        identical_results: before_summary == after_summary,
-    }
-}
-
 /// `0` means one worker per available hardware thread (min 2, so the
 /// speedup comparison is never against itself on a single-core runner).
 fn resolve_workers(requested: usize) -> usize {
@@ -1078,17 +981,6 @@ pub fn render(report: &BenchReport) -> String {
         "",
         t.served_speedup,
     );
-    let h = &report.hot_path;
-    let _ = writeln!(
-        out,
-        "hot path {} on {}: {:.0} -> {:.0} accesses/sec ({:.2}x, identical results: {})",
-        h.optimization,
-        h.workload,
-        h.before_accesses_per_sec,
-        h.after_accesses_per_sec,
-        h.speedup,
-        h.identical_results,
-    );
     out
 }
 
@@ -1162,9 +1054,6 @@ mod tests {
         assert!(report.scale.segment_size > 0);
         assert_eq!(report.scale.speculation, 4, "default speculation depth");
         assert!(report.host_threads >= 1);
-        assert!(report.hot_path.identical_results);
-        assert!(report.hot_path.before_accesses_per_sec > 0.0);
-        assert!(report.hot_path.after_accesses_per_sec > 0.0);
 
         // Envelope round trip, as the CLI writes and `--check` reads it.
         let envelope = report.into_envelope();
@@ -1175,7 +1064,7 @@ mod tests {
 
         let human = render(&report);
         assert!(human.contains("fig5"));
-        assert!(human.contains("batched-stream-requests"));
+        assert!(!human.contains("hot path"), "the hot-path section is gone");
 
         // A report diffed against itself never regresses.
         let diff = diff_reports(&report, &json, 0.5).expect("self-diff");
@@ -1279,18 +1168,21 @@ mod tests {
                 served_cached_speedup: 200.0,
             },
             figures: vec![figure],
-            hot_path: HotPathBench {
-                optimization: "batched-stream-requests".to_string(),
-                workload: "sms/dss-qry1".to_string(),
-                accesses: 20_000,
-                before_seconds: 0.2,
-                after_seconds: 0.1,
-                before_accesses_per_sec: 100_000.0,
-                after_accesses_per_sec: 200_000.0,
-                speedup: 2.0,
-                identical_results: true,
-            },
         }
+    }
+
+    #[test]
+    fn committed_reports_with_a_hot_path_section_still_load() {
+        // Reports recorded before the hot-path section was removed carry a
+        // `hot_path` object; `bench --check` and `--against` must still
+        // read them.
+        let text = include_str!("../../../BENCH_pr10.json");
+        assert!(text.contains("\"hot_path\""));
+        let envelope: MetricsReport = serde_json::from_str(text).expect("committed report");
+        let report = BenchReport::from_envelope(&envelope).expect("still validates");
+        assert_eq!(report.name, "pr10");
+        let diff = diff_reports(&fixture(), text, 0.5).expect("still diffs");
+        assert_eq!(diff.figures.len(), 1);
     }
 
     #[test]
@@ -1301,10 +1193,6 @@ mod tests {
         let mut broken = report.clone();
         broken.figures[0].deterministic = false;
         assert!(broken.validate().unwrap_err().contains("diverged"));
-
-        let mut broken = report.clone();
-        broken.hot_path.identical_results = false;
-        assert!(broken.validate().unwrap_err().contains("hot-path"));
 
         let mut broken = report.clone();
         broken.totals.jobs += 1;

@@ -36,9 +36,8 @@
 //!                (--json: the machine-readable catalog)
 //! run --spec P   execute a serialized engine job list (see --emit-spec)
 //! bench          measure serial / job-parallel / segment-parallel /
-//!                speculative throughput of the experiment suite and the
-//!                batched hot path; write a schema-versioned
-//!                BENCH_<name>.json
+//!                speculative / served throughput of the experiment suite;
+//!                write a schema-versioned BENCH_<name>.json
 //! bench --check  validate an existing bench report against its schema
 //! serve          start the resident job server on a unix-domain socket
 //!                and/or loopback TCP; submissions stream back results as

@@ -6,9 +6,30 @@
 //! `prefetched` line is a miss that the prefetcher eliminated, while the
 //! eviction or invalidation of a still-unused `prefetched` line is an
 //! overprediction.
+//!
+//! # Layout
+//!
+//! Every demand access and every stream request probes at least one cache, so
+//! the probe is the simulator's innermost loop.  The lines are stored as
+//! three columns indexed by `set * associativity + way`: block tags (`u64`),
+//! state flags (`u8`: valid, dirty, prefetched-unused) and LRU stamps
+//! (`u64`), 17 bytes per line.  A probe compares a set's tags in one
+//! contiguous run (an 8-way set is one 64-byte host line) and reads the flags
+//! only on a tag match.  The set index is a shift and a mask precomputed at
+//! construction, which is why [`CacheConfig::validate`] insists on
+//! power-of-two block sizes and set counts.
+//!
+//! # Invariants
+//!
+//! * An invalid line holds tag 0, no flags and LRU stamp 0, so the state
+//!   fingerprint reads it exactly as a freshly built line.
+//! * A valid line's LRU stamp is the (strictly increasing, never zero) clock
+//!   value of its last touch.  The replacement victim — the first invalid way,
+//!   else the least recently used way — is therefore simply the first way
+//!   with the smallest stamp.
 
 use crate::config::CacheConfig;
-use crate::fingerprint::FingerprintBuilder;
+use crate::fingerprint::{FingerprintBuilder, StateFingerprint};
 use trace::AccessKind;
 
 /// Per-line usage state relevant to prefetch accounting.
@@ -44,40 +65,51 @@ pub struct AccessOutcome {
     pub evicted: Option<EvictedLine>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    prefetched_unused: bool,
-    lru: u64,
-}
-
-impl Line {
-    const INVALID: Line = Line {
-        tag: 0,
-        valid: false,
-        dirty: false,
-        prefetched_unused: false,
-        lru: 0,
-    };
-}
+/// Line state flag: the line holds a block.
+const VALID: u8 = 1;
+/// Line state flag: the line was written since it was filled.
+const DIRTY: u8 = 1 << 1;
+/// Line state flag: filled by a prefetch and not yet used by a demand access.
+const PREFETCHED_UNUSED: u8 = 1 << 2;
 
 /// A set-associative cache model.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    /// `log2(block_bytes)`: an address's block number is `addr >> block_shift`.
+    block_shift: u32,
+    /// `num_sets - 1`: a block number's set is `block & set_mask`.
+    set_mask: u64,
+    /// Ways per set, the stride between sets in the line columns.
+    assoc: usize,
+    /// Block-aligned address of each line (0 when invalid).
+    tags: Vec<u64>,
+    /// `VALID | DIRTY | PREFETCHED_UNUSED` bits of each line (0 when invalid).
+    flags: Vec<u8>,
+    /// LRU stamp of each line (0 when invalid).
+    lru: Vec<u64>,
     tick: u64,
 }
 
 impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry fails [`CacheConfig::validate`].
     pub fn new(config: CacheConfig) -> Self {
-        let lines = vec![Line::INVALID; config.num_lines() as usize];
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
+        let lines = config.num_lines() as usize;
         Self {
             config,
-            lines,
+            block_shift: config.block_bytes.trailing_zeros(),
+            set_mask: config.num_sets() - 1,
+            assoc: config.associativity as usize,
+            tags: vec![0; lines],
+            flags: vec![0; lines],
+            lru: vec![0; lines],
             tick: 0,
         }
     }
@@ -87,25 +119,47 @@ impl SetAssocCache {
         &self.config
     }
 
-    fn set_range(&self, addr: u64) -> std::ops::Range<usize> {
-        let set = self.config.set_index(addr) as usize;
-        let assoc = self.config.associativity as usize;
-        set * assoc..(set + 1) * assoc
+    /// Index of the first way of `addr`'s set in the line columns.
+    #[inline]
+    fn set_start(&self, addr: u64) -> usize {
+        ((addr >> self.block_shift) & self.set_mask) as usize * self.assoc
     }
 
+    /// The block-aligned address (the stored tag) of `addr`.
+    #[inline]
     fn tag(&self, addr: u64) -> u64 {
-        self.config.block_addr(addr)
+        (addr >> self.block_shift) << self.block_shift
     }
 
+    #[inline]
     fn touch(&mut self, index: usize) {
         self.tick += 1;
-        self.lines[index].lru = self.tick;
+        self.lru[index] = self.tick;
     }
 
+    #[inline]
     fn find(&self, addr: u64) -> Option<usize> {
         let tag = self.tag(addr);
-        self.set_range(addr)
-            .find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
+        let start = self.set_start(addr);
+        let set = &self.tags[start..start + self.assoc];
+        set.iter()
+            .enumerate()
+            .position(|(way, &t)| t == tag && self.flags[start + way] & VALID != 0)
+            .map(|way| start + way)
+    }
+
+    /// The line at `index` as it departs the cache.
+    fn departing(&self, index: usize) -> EvictedLine {
+        let flags = self.flags[index];
+        EvictedLine {
+            block_addr: self.tags[index],
+            dirty: flags & DIRTY != 0,
+            state: if flags & PREFETCHED_UNUSED != 0 {
+                CacheLineState::PrefetchedUnused
+            } else {
+                CacheLineState::Demand
+            },
+        }
     }
 
     /// Returns `true` if the block containing `addr` is present.
@@ -115,13 +169,7 @@ impl SetAssocCache {
 
     /// Returns the usage state of the block containing `addr`, if present.
     pub fn line_state(&self, addr: u64) -> Option<CacheLineState> {
-        self.find(addr).map(|i| {
-            if self.lines[i].prefetched_unused {
-                CacheLineState::PrefetchedUnused
-            } else {
-                CacheLineState::Demand
-            }
-        })
+        self.find(addr).map(|i| self.departing(i).state)
     }
 
     /// Performs a demand access (load or store) to `addr`.
@@ -138,29 +186,21 @@ impl SetAssocCache {
     /// modelled.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
         if let Some(i) = self.find(addr) {
-            let was_prefetched = self.lines[i].prefetched_unused;
-            if kind.is_write() && was_prefetched {
-                self.lines[i].prefetched_unused = false;
-                self.lines[i].dirty = true;
-                self.touch(i);
-                return AccessOutcome {
-                    hit: false,
-                    hit_on_prefetched: false,
-                    evicted: None,
-                };
-            }
-            self.lines[i].prefetched_unused = false;
+            let was_prefetched = self.flags[i] & PREFETCHED_UNUSED != 0;
+            self.flags[i] &= !PREFETCHED_UNUSED;
             if kind.is_write() {
-                self.lines[i].dirty = true;
+                self.flags[i] |= DIRTY;
             }
             self.touch(i);
+            // A store to an unused streamed line is an upgrade miss.
+            let upgrade = kind.is_write() && was_prefetched;
             return AccessOutcome {
-                hit: true,
-                hit_on_prefetched: was_prefetched,
+                hit: !upgrade,
+                hit_on_prefetched: was_prefetched && !upgrade,
                 evicted: None,
             };
         }
-        let evicted = self.fill_internal(addr, kind.is_write(), false);
+        let evicted = self.insert_absent(addr, kind.is_write(), false);
         AccessOutcome {
             hit: false,
             hit_on_prefetched: false,
@@ -174,7 +214,7 @@ impl SetAssocCache {
         if self.contains(addr) {
             return None;
         }
-        self.fill_internal(addr, false, true)
+        self.insert_absent(addr, false, true)
     }
 
     /// Fills `addr` without counting a demand access (used for write-backs
@@ -183,53 +223,42 @@ impl SetAssocCache {
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Option<EvictedLine> {
         if let Some(i) = self.find(addr) {
             if dirty {
-                self.lines[i].dirty = true;
+                self.flags[i] |= DIRTY;
             }
             self.touch(i);
             return None;
         }
-        self.fill_internal(addr, dirty, false)
+        self.insert_absent(addr, dirty, false)
     }
 
-    fn fill_internal(&mut self, addr: u64, dirty: bool, prefetched: bool) -> Option<EvictedLine> {
-        let tag = self.tag(addr);
-        let range = self.set_range(addr);
-        // Prefer an invalid way; otherwise evict the LRU way.
-        let mut victim = range.start;
-        let mut best_lru = u64::MAX;
-        let mut found_invalid = false;
-        for i in range {
-            if !self.lines[i].valid {
-                victim = i;
-                found_invalid = true;
-                break;
-            }
-            if self.lines[i].lru < best_lru {
-                best_lru = self.lines[i].lru;
-                victim = i;
+    /// Allocates `addr`'s block, which the caller has just probed and found
+    /// absent, displacing the first invalid way or else the LRU way of its
+    /// set.  Returns the displaced valid line, if any.
+    ///
+    /// Callers that already know the block is absent (a stream fill after
+    /// its residency check) use this to skip a second probe.
+    pub(crate) fn insert_absent(
+        &mut self,
+        addr: u64,
+        dirty: bool,
+        prefetched: bool,
+    ) -> Option<EvictedLine> {
+        debug_assert!(!self.contains(addr), "insert_absent on a resident block");
+        let start = self.set_start(addr);
+        // Invalid ways carry stamp 0 and valid ways a nonzero one, so the
+        // first smallest stamp is the first invalid way, else the LRU way.
+        let mut victim = start;
+        let mut best = u64::MAX;
+        for (way, &stamp) in self.lru[start..start + self.assoc].iter().enumerate() {
+            if stamp < best {
+                best = stamp;
+                victim = start + way;
             }
         }
-        let evicted = if found_invalid {
-            None
-        } else {
-            let old = self.lines[victim];
-            Some(EvictedLine {
-                block_addr: old.tag,
-                dirty: old.dirty,
-                state: if old.prefetched_unused {
-                    CacheLineState::PrefetchedUnused
-                } else {
-                    CacheLineState::Demand
-                },
-            })
-        };
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty,
-            prefetched_unused: prefetched,
-            lru: 0,
-        };
+        let evicted = (self.flags[victim] & VALID != 0).then(|| self.departing(victim));
+        self.tags[victim] = self.tag(addr);
+        self.flags[victim] =
+            VALID | if dirty { DIRTY } else { 0 } | if prefetched { PREFETCHED_UNUSED } else { 0 };
         self.touch(victim);
         evicted
     }
@@ -237,41 +266,47 @@ impl SetAssocCache {
     /// Invalidates the block containing `addr`, returning the removed line.
     pub fn invalidate(&mut self, addr: u64) -> Option<EvictedLine> {
         let i = self.find(addr)?;
-        let old = self.lines[i];
-        self.lines[i] = Line::INVALID;
-        Some(EvictedLine {
-            block_addr: old.tag,
-            dirty: old.dirty,
-            state: if old.prefetched_unused {
-                CacheLineState::PrefetchedUnused
-            } else {
-                CacheLineState::Demand
-            },
-        })
+        let old = self.departing(i);
+        self.tags[i] = 0;
+        self.flags[i] = 0;
+        self.lru[i] = 0;
+        Some(old)
     }
 
     /// Feeds every mutable field — the LRU clock and each line's tag, state
-    /// bits and LRU stamp — into a state fingerprint.
+    /// bits and LRU stamp, in line order — into a state fingerprint.
     pub(crate) fn fingerprint_into(&self, fp: &mut FingerprintBuilder) {
         fp.mix(self.tick);
-        fp.mix(self.lines.len() as u64);
-        for line in &self.lines {
-            fp.mix(line.tag);
-            fp.mix_bool(line.valid);
-            fp.mix_bool(line.dirty);
-            fp.mix_bool(line.prefetched_unused);
-            fp.mix(line.lru);
+        fp.mix(self.tags.len() as u64);
+        for ((&tag, &flags), &lru) in self.tags.iter().zip(&self.flags).zip(&self.lru) {
+            fp.mix(tag);
+            fp.mix_bool(flags & VALID != 0);
+            fp.mix_bool(flags & DIRTY != 0);
+            fp.mix_bool(flags & PREFETCHED_UNUSED != 0);
+            fp.mix(lru);
         }
+    }
+
+    /// A digest of this cache's complete mutable state (see
+    /// [`StateFingerprint`]).
+    pub fn fingerprint(&self) -> StateFingerprint {
+        let mut fp = FingerprintBuilder::new();
+        self.fingerprint_into(&mut fp);
+        fp.finish()
     }
 
     /// Number of valid lines currently resident (mainly for tests/debugging).
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.flags.iter().filter(|&&f| f & VALID != 0).count()
     }
 
     /// Iterates over the block addresses of all resident lines.
     pub fn resident_blocks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lines.iter().filter(|l| l.valid).map(|l| l.tag)
+        self.tags
+            .iter()
+            .zip(&self.flags)
+            .filter(|(_, &f)| f & VALID != 0)
+            .map(|(&tag, _)| tag)
     }
 }
 

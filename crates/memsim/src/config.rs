@@ -1,6 +1,43 @@
 //! Cache and hierarchy configuration.
 
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// A configuration field that violates an invariant of the structure it
+/// configures: the structured error for geometry decoded from untrusted
+/// input (spec files, protocol frames, plugin parameters).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// Dotted path of the offending field, such as `l1.block_bytes`.
+    pub field: String,
+    /// What is wrong with the field's value.
+    pub message: String,
+}
+
+impl ConfigError {
+    /// An error for `field`.
+    pub fn new(field: impl Into<String>, message: impl Into<String>) -> Self {
+        Self {
+            field: field.into(),
+            message: message.into(),
+        }
+    }
+
+    /// The same error with `parent` prepended to the field path, for a
+    /// configuration nested inside another.
+    pub fn within(mut self, parent: &str) -> Self {
+        self.field = format!("{parent}.{}", self.field);
+        self
+    }
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.field, self.message)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Geometry of a single set-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -18,35 +55,76 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero, `block_bytes` or the set count is not
-    /// a power of two, or the capacity is not divisible by
-    /// `associativity * block_bytes`.
+    /// Panics with the [`ConfigError`] message if the geometry is invalid
+    /// (see [`validate`](Self::validate)).
     pub fn new(capacity_bytes: u64, associativity: u32, block_bytes: u64) -> Self {
         let config = Self {
             capacity_bytes,
             associativity,
             block_bytes,
         };
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         config
     }
 
-    fn validate(&self) {
-        assert!(self.capacity_bytes > 0, "capacity must be positive");
-        assert!(self.associativity > 0, "associativity must be positive");
-        assert!(
-            self.block_bytes.is_power_of_two(),
-            "block size must be a power of two"
-        );
-        assert!(
-            self.capacity_bytes
-                .is_multiple_of(u64::from(self.associativity) * self.block_bytes),
-            "capacity must be a multiple of associativity * block size"
-        );
-        assert!(
-            self.num_sets().is_power_of_two(),
-            "number of sets must be a power of two"
-        );
+    /// Checks the geometry invariants [`SetAssocCache`](crate::SetAssocCache)
+    /// relies on: every parameter is positive, `block_bytes` is a power of
+    /// two, the capacity is a multiple of `associativity * block_bytes`, and
+    /// the resulting set count is a power of two (so a set index is a shift
+    /// and a mask).
+    ///
+    /// The derived `Deserialize` does not run this check, so anything that
+    /// decodes a configuration from untrusted input must call it before
+    /// building a cache.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.capacity_bytes == 0 {
+            return Err(ConfigError::new(
+                "capacity_bytes",
+                "capacity must be positive",
+            ));
+        }
+        if self.associativity == 0 {
+            return Err(ConfigError::new(
+                "associativity",
+                "associativity must be positive",
+            ));
+        }
+        if !self.block_bytes.is_power_of_two() {
+            return Err(ConfigError::new(
+                "block_bytes",
+                format!(
+                    "block size must be a power of two (got {})",
+                    self.block_bytes
+                ),
+            ));
+        }
+        let set_bytes = u64::from(self.associativity).checked_mul(self.block_bytes);
+        if !set_bytes.is_some_and(|b| self.capacity_bytes.is_multiple_of(b)) {
+            return Err(ConfigError::new(
+                "capacity_bytes",
+                format!(
+                    "capacity {} must be a multiple of associativity * block size",
+                    self.capacity_bytes
+                ),
+            ));
+        }
+        if !self.num_sets().is_power_of_two() {
+            return Err(ConfigError::new(
+                "capacity_bytes",
+                format!(
+                    "capacity {} gives {} sets; the number of sets must be a power of two",
+                    self.capacity_bytes,
+                    self.num_sets()
+                ),
+            ));
+        }
+        Ok(())
     }
 
     /// The paper's L1 data cache: 64 KB, 2-way, 64 B blocks (Table 1).
@@ -76,7 +154,7 @@ impl CacheConfig {
 
     /// Set index for `addr`.
     pub fn set_index(&self, addr: u64) -> u64 {
-        (addr / self.block_bytes) & (self.num_sets() - 1)
+        (addr >> self.block_bytes.trailing_zeros()) & (self.num_sets() - 1)
     }
 
     /// Returns a copy of this configuration with a different block size but
@@ -101,6 +179,17 @@ pub struct HierarchyConfig {
 }
 
 impl HierarchyConfig {
+    /// Checks both levels' geometry (see [`CacheConfig::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] whose field is prefixed with the level (`l1.` or
+    /// `l2.`).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.l1.validate().map_err(|e| e.within("l1"))?;
+        self.l2.validate().map_err(|e| e.within("l2"))
+    }
+
     /// The hierarchy of Table 1 in the paper.
     pub fn table1() -> Self {
         Self {
@@ -180,6 +269,47 @@ mod tests {
     #[should_panic(expected = "multiple")]
     fn bad_capacity_rejected() {
         let _ = CacheConfig::new(100_000, 3, 64);
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        let zero_block = HierarchyConfig {
+            l1: CacheConfig {
+                capacity_bytes: 32 * 1024,
+                associativity: 2,
+                block_bytes: 0,
+            },
+            l2: CacheConfig::l2_table1(),
+        };
+        let err = zero_block.validate().unwrap_err();
+        assert_eq!(err.field, "l1.block_bytes");
+        assert!(err.message.contains("power of two"), "{err}");
+
+        // 3 sets of 2 ways of 64 B: a multiple, but not a power-of-two set
+        // count, so a set mask would never reach some sets.
+        let three_sets = HierarchyConfig {
+            l1: CacheConfig::l1_table1(),
+            l2: CacheConfig {
+                capacity_bytes: 3 * 2 * 64,
+                associativity: 2,
+                block_bytes: 64,
+            },
+        };
+        let err = three_sets.validate().unwrap_err();
+        assert_eq!(err.field, "l2.capacity_bytes");
+        assert!(err.message.contains("3 sets"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            format!("l2.capacity_bytes: {}", err.message)
+        );
+
+        let overflow = CacheConfig {
+            capacity_bytes: 64,
+            associativity: u32::MAX,
+            block_bytes: 1 << 63,
+        };
+        assert_eq!(overflow.validate().unwrap_err().field, "capacity_bytes");
+        assert_eq!(HierarchyConfig::scaled().validate(), Ok(()));
     }
 
     #[test]

@@ -5,10 +5,7 @@
 //! accumulates a [`RunSummary`] of per-level statistics and miss breakdowns.
 //! The loop is **batched**: one reusable request buffer collects every
 //! access's stream requests ([`Prefetcher::on_access_into`]), so issuing
-//! prefetchers stop paying one vector allocation per triggering access.  The
-//! pre-batching loop survives as [`run_unbatched`], the measured "before"
-//! side of the bench pipeline's hot-path comparison; both loops apply
-//! requests in the same order and produce bit-identical summaries.
+//! prefetchers stop paying one vector allocation per triggering access.
 //!
 //! [`run_job`] is the self-contained variant: a [`SimJob`] fully describes
 //! one run (trace source, system, prefetcher spec, access budget) so that
@@ -504,55 +501,6 @@ pub fn summarize_segmented(
     }
 }
 
-/// The pre-batching simulation loop: one vector allocated per issuing access
-/// via [`Prefetcher::on_access`].
-///
-/// Kept (not as a deprecated fossil, but deliberately) as the measured
-/// **before** side of the bench pipeline's hot-path comparison; it must stay
-/// bit-identical to [`run`] in simulated results, which the telemetry tests
-/// assert.  New code should call [`run`].
-pub fn run_unbatched<S>(
-    system: &mut MultiCpuSystem,
-    prefetcher: &mut dyn Prefetcher,
-    stream: &mut S,
-    num_accesses: usize,
-) -> RunSummary
-where
-    S: Iterator<Item = MemAccess> + ?Sized,
-{
-    let mut summary = RunSummary::default();
-    for access in stream.take(num_accesses) {
-        if (access.cpu as usize) >= system.num_cpus() {
-            summary.skipped_accesses += 1;
-            continue;
-        }
-        let outcome = system.access(&access);
-        summary.accesses += 1;
-        let requests = prefetcher.on_access(&access, &outcome);
-        summary.prefetch_requests += requests.len() as u64;
-        for req in requests {
-            if (req.cpu as usize) >= system.num_cpus() {
-                continue;
-            }
-            match req.level {
-                PrefetchLevel::L1 => {
-                    if let Some(victim) = system.cpu_mut(req.cpu).stream_fill(req.addr) {
-                        prefetcher.on_stream_eviction(req.cpu, victim.block_addr);
-                    }
-                }
-                PrefetchLevel::L2 => {
-                    system.cpu_mut(req.cpu).l2_prefetch_fill(req.addr);
-                }
-            }
-        }
-    }
-    summary.l1 = system.l1_stats_total();
-    summary.l2 = system.l2_stats_total();
-    summary.l1_breakdown = *system.l1_breakdown();
-    summary.l2_breakdown = *system.l2_breakdown();
-    summary
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,31 +635,6 @@ mod tests {
         let value = job.to_value();
         let back: SimJob<Option<u32>> = Deserialize::from_value(&value).expect("round trip");
         assert_eq!(job, back);
-    }
-
-    #[test]
-    fn batched_and_unbatched_loops_agree_bit_for_bit() {
-        // NextLine issues a request on every L1 miss, so both the batching
-        // seam and the eviction-callback ordering are exercised.
-        let accesses: Vec<MemAccess> = (0..400)
-            .map(|i| MemAccess::read(0, 0x400, (i % 97) * 64))
-            .collect();
-
-        let mut sys_a = MultiCpuSystem::new(1, &tiny_config());
-        let mut a_pref = NextLine;
-        let batched = run(
-            &mut sys_a,
-            &mut a_pref,
-            &mut accesses.clone().into_iter(),
-            400,
-        );
-
-        let mut sys_b = MultiCpuSystem::new(1, &tiny_config());
-        let mut b_pref = NextLine;
-        let unbatched = run_unbatched(&mut sys_b, &mut b_pref, &mut accesses.into_iter(), 400);
-
-        assert_eq!(batched, unbatched);
-        assert!(batched.prefetch_requests > 0);
     }
 
     #[test]

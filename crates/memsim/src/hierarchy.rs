@@ -2,7 +2,7 @@
 
 use crate::cache::{CacheLineState, EvictedLine, SetAssocCache};
 use crate::config::HierarchyConfig;
-use crate::fingerprint::FingerprintBuilder;
+use crate::fingerprint::{FingerprintBuilder, StateFingerprint};
 use crate::stats::CacheStats;
 use trace::MemAccess;
 
@@ -90,6 +90,14 @@ impl CpuHierarchy {
         self.l2.fingerprint_into(fp);
         self.l1_stats.fingerprint_into(fp);
         self.l2_stats.fingerprint_into(fp);
+    }
+
+    /// A digest of this processor's complete mutable state (see
+    /// [`StateFingerprint`]).
+    pub fn fingerprint(&self) -> StateFingerprint {
+        let mut fp = FingerprintBuilder::new();
+        self.fingerprint_into(&mut fp);
+        fp.finish()
     }
 
     /// Pushes one demand access through the hierarchy, updating both levels
@@ -193,6 +201,9 @@ impl CpuHierarchy {
     /// Streams a predicted block into the primary cache (and the L2, which
     /// the fill passes through on its way up), marking it prefetched.
     ///
+    /// Each level is probed once: a block found absent is inserted directly,
+    /// without the second residency check a plain `prefetch_fill` would make.
+    ///
     /// Returns the line displaced from the L1, if any, so that callers can
     /// end spatial region generations for the victim block.
     pub fn stream_fill(&mut self, addr: u64) -> Option<EvictedLine> {
@@ -201,18 +212,9 @@ impl CpuHierarchy {
         }
         self.l1_stats.prefetch_fills += 1;
         if !self.l2.contains(addr) {
-            self.l2_stats.prefetch_fills += 1;
-            let l2_victim = self.l2.prefetch_fill(addr);
-            if let Some(e) = &l2_victim {
-                if e.state == CacheLineState::PrefetchedUnused {
-                    self.l2_stats.prefetch_unused_evictions += 1;
-                }
-                if e.dirty {
-                    self.l2_stats.writebacks += 1;
-                }
-            }
+            self.l2_prefetch_insert(addr);
         }
-        let victim = self.l1.prefetch_fill(addr);
+        let victim = self.l1.insert_absent(addr, false, true);
         if let Some(e) = &victim {
             if e.state == CacheLineState::PrefetchedUnused {
                 self.l1_stats.prefetch_unused_evictions += 1;
@@ -231,8 +233,14 @@ impl CpuHierarchy {
         if self.l2.contains(addr) {
             return None;
         }
+        self.l2_prefetch_insert(addr)
+    }
+
+    /// Inserts a block the caller found absent from the L2 as a prefetch,
+    /// counting the fill and its victim.
+    fn l2_prefetch_insert(&mut self, addr: u64) -> Option<EvictedLine> {
         self.l2_stats.prefetch_fills += 1;
-        let victim = self.l2.prefetch_fill(addr);
+        let victim = self.l2.insert_absent(addr, false, true);
         if let Some(e) = &victim {
             if e.state == CacheLineState::PrefetchedUnused {
                 self.l2_stats.prefetch_unused_evictions += 1;
@@ -244,24 +252,42 @@ impl CpuHierarchy {
         victim
     }
 
-    /// Invalidates a block in both levels (coherence action).  Returns the
-    /// line removed from the L1, if any, so generations can be terminated.
-    pub fn invalidate(&mut self, addr: u64) -> Option<EvictedLine> {
-        let l1_line = self.l1.invalidate(addr);
-        if l1_line.is_some() {
+    /// Invalidates a block in both levels (coherence action), probing each
+    /// level once.  Returns the lines removed from each level, so callers
+    /// learn whether the block was present and which L1 generation to end.
+    pub fn invalidate(&mut self, addr: u64) -> InvalidatedLines {
+        let l1 = self.l1.invalidate(addr);
+        if let Some(line) = &l1 {
             self.l1_stats.invalidations += 1;
-            if l1_line.map(|l| l.state) == Some(CacheLineState::PrefetchedUnused) {
+            if line.state == CacheLineState::PrefetchedUnused {
                 self.l1_stats.prefetch_unused_evictions += 1;
             }
         }
-        let l2_line = self.l2.invalidate(addr);
-        if l2_line.is_some() {
+        let l2 = self.l2.invalidate(addr);
+        if let Some(line) = &l2 {
             self.l2_stats.invalidations += 1;
-            if l2_line.map(|l| l.state) == Some(CacheLineState::PrefetchedUnused) {
+            if line.state == CacheLineState::PrefetchedUnused {
                 self.l2_stats.prefetch_unused_evictions += 1;
             }
         }
-        l1_line
+        InvalidatedLines { l1, l2 }
+    }
+}
+
+/// The lines a coherence invalidation removed from one processor's
+/// hierarchy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InvalidatedLines {
+    /// The line removed from the primary cache, if it held the block.
+    pub l1: Option<EvictedLine>,
+    /// The line removed from the secondary cache, if it held the block.
+    pub l2: Option<EvictedLine>,
+}
+
+impl InvalidatedLines {
+    /// Whether either level held the block.
+    pub fn any(&self) -> bool {
+        self.l1.is_some() || self.l2.is_some()
     }
 }
 
@@ -358,7 +384,7 @@ mod tests {
         let mut h = tiny_hierarchy();
         let _ = h.access(&MemAccess::write(0, 0x400, 0x4000));
         let removed = h.invalidate(0x4000);
-        assert!(removed.is_some());
+        assert!(removed.l1.is_some() && removed.l2.is_some());
         assert!(!h.l1().contains(0x4000));
         assert!(!h.l2().contains(0x4000));
         assert_eq!(h.l1_stats().invalidations, 1);

@@ -53,15 +53,14 @@ pub use cache::{AccessOutcome, CacheLineState, EvictedLine, SetAssocCache};
 pub use classify::{
     AccessFlags, MissAccounting, MissBreakdown, MissClassifier, MissKind, OutcomeTape,
 };
-pub use config::{CacheConfig, HierarchyConfig};
+pub use config::{CacheConfig, ConfigError, HierarchyConfig};
 pub use driver::{
-    run, run_job, run_job_metered, run_metered, run_segment_deferred, run_unbatched,
-    summarize_segmented, DriverMeter, DriverMetrics, PrefetcherFactory, RunSummary, SegmentCounts,
-    SimJob,
+    run, run_job, run_job_metered, run_metered, run_segment_deferred, summarize_segmented,
+    DriverMeter, DriverMetrics, PrefetcherFactory, RunSummary, SegmentCounts, SimJob,
 };
 pub use fasthash::{FastMap, FastSet, FxBuildHasher, FxHasher};
 pub use fingerprint::{FingerprintBuilder, StateFingerprint};
-pub use hierarchy::{CpuHierarchy, HierarchyOutcome};
+pub use hierarchy::{CpuHierarchy, HierarchyOutcome, InvalidatedLines};
 pub use mshr::MshrFile;
 pub use prefetch::{NullPrefetcher, PrefetchLevel, PrefetchRequest, Prefetcher};
 pub use sectored::{DecoupledSectoredCache, LogicalSectoredTags, SectorEviction};

@@ -177,7 +177,8 @@ impl MultiCpuSystem {
             }
         };
 
-        // Write-invalidate coherence: remove remote copies.
+        // Write-invalidate coherence: remove remote copies, probing each
+        // remote level once.
         let mut remote_invalidations = Vec::new();
         if access.kind.is_write() {
             for other in 0..self.cpus.len() {
@@ -185,19 +186,16 @@ impl MultiCpuSystem {
                     continue;
                 }
                 let other_cpu = other as u8;
-                let had_l1 = self.cpus[other].l1().contains(access.addr);
-                let had_l2 = self.cpus[other].l2().contains(access.addr);
-                if had_l1 || had_l2 {
-                    self.cpus[other].invalidate(access.addr);
+                let removed = self.cpus[other].invalidate(access.addr);
+                if removed.any() {
                     match sink {
                         ClassifySink::Inline => {
                             self.accounting.on_invalidation(other_cpu, access.addr)
                         }
                         ClassifySink::Tape(tape) => tape.push_invalidation(other_cpu),
                     }
-                    if had_l1 {
-                        let block = self.config.l1.block_addr(access.addr);
-                        remote_invalidations.push((other_cpu, block));
+                    if let Some(line) = removed.l1 {
+                        remote_invalidations.push((other_cpu, line.block_addr));
                     }
                 }
             }

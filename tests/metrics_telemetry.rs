@@ -5,7 +5,7 @@
 
 use engine::{EngineConfig, PrefetcherSpec, Registry, SimJob};
 use ghb::GhbConfig;
-use memsim::{HierarchyConfig, MultiCpuSystem};
+use memsim::HierarchyConfig;
 use metrics::MetricsConfig;
 use sms::SmsConfig;
 use timing::TimingConfig;
@@ -198,47 +198,6 @@ fn tracing_enabled_vs_disabled_is_byte_identical() {
             check.spans as usize >= jobs.len(),
             "every job records at least its own span"
         );
-    }
-}
-
-#[test]
-fn batched_and_unbatched_drivers_agree_for_every_builtin_prefetcher() {
-    for spec in [
-        PrefetcherSpec::null(),
-        PrefetcherSpec::sms(&SmsConfig::paper_default()),
-        PrefetcherSpec::ghb(&GhbConfig::paper_small()),
-    ] {
-        for app in [Application::Ocean, Application::DssQry1] {
-            let generator = GeneratorConfig::default().with_cpus(CPUS);
-            let registry = Registry::builtin();
-
-            let mut batched_system = MultiCpuSystem::new(CPUS, &HierarchyConfig::scaled());
-            let mut batched_prefetcher = registry.build(&spec, CPUS).expect("built-in plugin");
-            let mut stream = app.stream(SEED, &generator);
-            let batched = memsim::run(
-                &mut batched_system,
-                &mut batched_prefetcher,
-                &mut stream,
-                ACCESSES,
-            );
-
-            let mut unbatched_system = MultiCpuSystem::new(CPUS, &HierarchyConfig::scaled());
-            let mut unbatched_prefetcher = registry.build(&spec, CPUS).expect("built-in plugin");
-            let mut stream = app.stream(SEED, &generator);
-            let unbatched = memsim::run_unbatched(
-                &mut unbatched_system,
-                &mut unbatched_prefetcher,
-                &mut stream,
-                ACCESSES,
-            );
-
-            assert_eq!(
-                serde_json::to_string(&batched).expect("serialize"),
-                serde_json::to_string(&unbatched).expect("serialize"),
-                "{}/{app}: batched loop must not alter a single summary byte",
-                spec.plugin
-            );
-        }
     }
 }
 
